@@ -5,6 +5,8 @@ functions as adapters."""
 
 from __future__ import annotations
 
+import time
+
 from . import graph as gr
 from .combinat import composition
 from .graph import (
@@ -25,84 +27,145 @@ from .qsym import QSymExpr, QSymTensor, tensor
 from .tpoly import TPoly
 
 
-def expand(g: EdgeColouredDigraph) -> QSymExpr:
+class LevelDP:
+    """The transition rule shared by every expansion: colour the classes
+    of a contraction level by level, from the lowest level up.
+
+    A state is the bitmask of the classes already placed on lower
+    levels. A move places a nonempty block of unplaced classes as the
+    next level: no dashed or solid edge lies inside the block, every
+    solid predecessor of the block is already placed, and every double
+    predecessor is placed or in the block. The move records the block,
+    the number of edges it receives from the placed classes (the
+    ascents it adds) and its total weight. The moves of a state are
+    computed once per instance.
+    """
+
+    __slots__ = ("full", "moves_of", "_clash", "_below", "_weak", "_into", "_weights")
+
+    def __init__(self, con: Contraction):
+        s = len(con.classes)
+        self.full = (1 << s) - 1
+        self.moves_of: dict[int, list] = {}
+        self._clash = [0] * s    # classes that may not share a level with it
+        self._below = [0] * s    # solid predecessors: on a strictly lower level
+        self._weak = [0] * s     # double predecessors: on a lower or the same level
+        self._into = [[] for _ in range(s)]  # the tail of each edge into it
+        self._weights = con.weights
+        for ci, cj, kind in con.edges:
+            self._into[cj].append(ci)
+            if kind is LEQ:
+                self._weak[cj] |= 1 << ci
+            else:
+                self._clash[ci] |= 1 << cj
+                self._clash[cj] |= 1 << ci
+                if kind is LT:
+                    self._below[cj] |= 1 << ci
+
+    def moves(self, placed: int) -> list:
+        """(block, ascents, weight) for every move out of the state."""
+        got = self.moves_of.get(placed)
+        if got is None:
+            got = self.moves_of[placed] = self._moves(placed)
+        return got
+
+    def _moves(self, placed: int) -> list:
+        # grow every clash-free block over the candidates in index order,
+        # carrying (block, ascents, weight, clashes, double predecessors)
+        blocks = [(0, 0, 0, 0, 0)]
+        for v, weight in enumerate(self._weights):
+            bit = 1 << v
+            if placed & bit or self._below[v] & ~placed:
+                continue
+            up = sum(placed >> u & 1 for u in self._into[v])
+            clash, weak = self._clash[v], self._weak[v]
+            blocks += [(b | bit, a + up, w + weight, c | clash, k | weak)
+                       for b, a, w, c, k in blocks if not c & bit]
+        return [(b, a, w) for b, a, w, _, k in blocks
+                if b and not k & ~(placed | b)]
+
+    def record(self, stats: dict, terms: int, start: float) -> None:
+        """Fill `stats` for an expansion that began at perf_counter `start`:
+        the class count, the states whose moves were visited, the moves
+        out of them, the term count and the seconds taken."""
+        stats.update(classes=self.full.bit_length(), states=len(self.moves_of),
+                     transitions=sum(map(len, self.moves_of.values())),
+                     terms=terms, seconds=time.perf_counter() - start)
+
+
+def expand(g: EdgeColouredDigraph, stats: dict | None = None) -> QSymExpr:
     """The exact monomial expansion of the digraph's colouring sum.
 
     Vertices forced equal by double-edge cycles are contracted first; if
     a dashed or solid edge sits inside a contraction class the result is
-    zero. Otherwise, for each number of levels k, every constraint-
-    satisfying surjection of the classes onto 1..k adds t^asc to the
-    coefficient of the composition of level weights, where asc counts
-    the original edges rising between levels.
+    zero. Otherwise every way to colour the classes level by level (see
+    LevelDP) adds t^asc to the coefficient of the composition of level
+    weights, where asc counts the original edges rising between levels.
+    The sum is memoized on the set of placed classes, so the cost grows
+    with the states and moves, not with the colourings.
+
+    When `stats` is a dict it is filled by LevelDP.record.
     """
-    if g.n == 0:
-        return QSymExpr.one()
+    start = time.perf_counter() if stats is not None else 0.0
     con = contract(g)
-    if not con.feasible:
-        return QSymExpr.zero()
-    terms: dict = {}
-    for levels in _surjections(con):
-        k = max(levels)
-        alpha = [0] * k
-        for ci, weight in enumerate(con.weights):
-            alpha[levels[ci] - 1] += weight
-        asc = sum(1 for ci, cj, _ in con.edges if levels[ci] < levels[cj])
-        key = tuple(alpha)
-        acc = terms.get(key)
-        bump = TPoly.t_power(asc)
-        terms[key] = bump if acc is None else acc + bump
-    return QSymExpr(terms)
-
-
-def _surjections(con: Contraction):
-    """All constraint-satisfying surjections of the classes onto 1..k,
-    for every k up to the class count, by backtracking with forward
-    pruning on the already-assigned neighbours."""
+    dp = LevelDP(con)
+    # t-polynomials with nonnegative coefficients, packed into one int:
+    # t^k sits at bit k * width, and no coefficient overflows its digit
+    # because s classes have at most s^s < 2^width level colourings
     s = len(con.classes)
-    constraints = [[] for _ in range(s)]  # (earlier class, relation, flipped)
-    for ci, cj, kind in set(con.edges):
-        lo, hi = min(ci, cj), max(ci, cj)
-        constraints[hi].append((lo, kind, ci > cj))
-    levels = [0] * s
+    width = s * s.bit_length() or 1
+    memo = {dp.full: {(): 1}}
 
-    def ok(index: int, level: int) -> bool:
-        for other, kind, flipped in constraints[index]:
-            a, b = (level, levels[other]) if flipped else (levels[other], level)
-            if kind is NEQ and a == b:
-                return False
-            if kind is LT and not a < b:
-                return False
-            if kind is LEQ and not a <= b:
-                return False
-        return True
+    def suffixes(placed: int) -> dict:
+        got = memo.get(placed)
+        if got is not None:
+            return got
+        # sum the suffixes under each first part before prepending it
+        by_weight: dict = {}
+        for block, up, weight in dp.moves(placed):
+            shift = up * width
+            acc = by_weight.get(weight)
+            if acc is None:
+                acc = by_weight[weight] = {}
+            for comp, packed in suffixes(placed | block).items():
+                acc[comp] = acc.get(comp, 0) + (packed << shift)
+        out = memo[placed] = {(weight,) + comp: packed
+                              for weight, acc in by_weight.items()
+                              for comp, packed in acc.items()}
+        return out
 
-    def walk(index: int, used_mask: int, k: int):
-        missing = k - used_mask.bit_count()
-        if s - index < missing:
-            return  # not enough classes left to hit every level
-        if index == s:
-            yield tuple(levels)
-            return
-        for level in range(1, k + 1):
-            if ok(index, level):
-                levels[index] = level
-                yield from walk(index + 1, used_mask | (1 << level), k)
-
-    for k in range(1, s + 1):
-        yield from walk(0, 0, k)
+    digit = (1 << width) - 1
+    terms = {}
+    for comp, packed in (suffixes(0) if con.feasible else {}).items():
+        coeffs = []
+        while packed:
+            coeffs.append(packed & digit)
+            packed >>= width
+        terms[comp] = TPoly(coeffs)
+    out = QSymExpr(terms)
+    if stats is not None:
+        dp.record(stats, len(out.terms), start)
+    return out
 
 
 def chromatic_number(g: EdgeColouredDigraph):
     """Least k admitting a proper colouring with k levels; None when no
     proper colouring exists; 0 for the empty digraph."""
-    if g.n == 0:
-        return 0
     con = contract(g)
     if not con.feasible:
         return None
-    # the walk tries the level counts in increasing order
-    for levels in _surjections(con):
-        return max(levels)
+    # breadth first over the states: the first level count that places
+    # every class is the shortest chain of moves
+    dp = LevelDP(con)
+    frontier, seen, k = {0}, {0}, 0
+    while frontier:
+        if dp.full in frontier:
+            return k
+        k += 1
+        reached = {placed | block for placed in frontier
+                   for block, _, _ in dp.moves(placed)}
+        frontier = reached - seen
+        seen |= frontier
     return None
 
 

@@ -68,9 +68,6 @@ def _graph_args(sub):
 
 def _common_flags(sub):
     sub.add_argument("--pretty", action="store_true", help="readable text output")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="cap on internal parallelism (evaluation is "
-                          "sequential; accepted for interface stability)")
 
 
 def _print_qsym(f: QSymExpr, pretty: bool):
@@ -102,13 +99,20 @@ def _coords_pretty(coords: dict, fmt, prefix: str) -> str:
                        for k, c in sorted(coords.items()))
 
 
+def _report_stats(stats) -> None:
+    if stats is not None:
+        print(json.dumps(stats), file=sys.stderr)
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 def _cmd_expand(args) -> int:
     (g,) = _read_graph(args)
+    stats = {} if args.stats else None
     if args.nc:
-        f = ncqsym.expand_nc(_as_labelled(g))
+        f = ncqsym.expand_nc(_as_labelled(g), stats)
+        _report_stats(stats)
         if not args.t:
             f = f.at_t(1)
         if args.basis in (None, "M"):
@@ -129,7 +133,8 @@ def _cmd_expand(args) -> int:
         else:
             raise ValueError(f"--basis {args.basis} is not available with --nc")
         return 0
-    f = chromatic.expand(_as_plain(g))
+    f = chromatic.expand(_as_plain(g), stats)
+    _report_stats(stats)
     if not args.t:
         f = f.at_t(1)
     if args.basis in (None, "M"):
@@ -220,22 +225,31 @@ def _cmd_product(args) -> int:
     return 0
 
 
+def _default(value, fallback):
+    """The flag's value, or the fallback when the flag was not given."""
+    return fallback if value is None else value
+
+
 def _cmd_verify(args) -> int:
     suite = args.suite
+    if args.trials is not None and args.trials < 0:
+        raise ValueError(f"--trials must be nonnegative, got {args.trials}")
+    if args.n is not None and args.n < 1:
+        raise ValueError(f"--n must be positive, got {args.n}")
     if suite == "oracle":
-        result = verify.verify_oracle(trials=args.trials or 200,
-                                      max_n=args.n or 5, seed=args.seed)
+        result = verify.verify_oracle(trials=_default(args.trials, 200),
+                                      max_n=_default(args.n, 5), seed=args.seed)
     elif suite == "hopf":
-        result = verify.verify_hopf(trials=args.trials or 50,
-                                    max_n=args.n or 4, seed=args.seed)
+        result = verify.verify_hopf(trials=_default(args.trials, 50),
+                                    max_n=_default(args.n, 4), seed=args.seed)
     elif suite == "tables":
-        n = args.n or 5
+        n = _default(args.n, 5)
         result = verify.verify_tables(n=n, sym_n=min(n, 4))
     elif suite == "r-closure":
-        n = args.n or 5
+        n = _default(args.n, 5)
         result = verify.verify_r_closure(n_qsym=n, n_nc=min(n - 1, 4),
                                          r=args.r, seed=args.seed,
-                                         trials=args.trials or 20)
+                                         trials=_default(args.trials, 20))
     else:  # unreachable through argparse choices
         raise ValueError(f"unknown suite {suite!r}")
     _emit(result.to_json())
@@ -335,6 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--nc", action="store_true", help="noncommuting variables")
     sub.add_argument("--t", action="store_true", help="keep the ascent grading")
     sub.add_argument("--basis", help="M, F, Fbar, sym:<kind>, or m with --nc")
+    sub.add_argument("--stats", action="store_true",
+                     help="write the engine's counts (classes, states, transitions, "
+                          "terms, seconds) to stderr as one JSON line")
     _common_flags(sub)
     sub.set_defaults(func=_cmd_expand)
 

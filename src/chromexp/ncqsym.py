@@ -6,9 +6,10 @@ its regrouping check."""
 from __future__ import annotations
 
 import itertools
+import time
 
 from . import combinat, graph as gr
-from .chromatic import _surjections
+from .chromatic import LevelDP
 from .combinat import (
     RSetComposition,
     bar_shuffle,
@@ -204,34 +205,45 @@ def tensor_nc(f: NCQSymExpr, g: NCQSymExpr) -> NCQSymTensor:
 # ---------------------------------------------------------------------------
 # the labelled expansion and the commutation map
 
-def expand_nc(lg: LabelledDigraph) -> NCQSymExpr:
+def expand_nc(lg: LabelledDigraph, stats: dict | None = None) -> NCQSymExpr:
     """Noncommutative chromatic expansion of a labelled digraph.
 
-    Labels are standardized onto 1..n first. The enumeration is the same
-    contraction-and-surjection walk as the commutative expansion; each
-    surjection contributes t^asc to the set composition whose i-th block
-    holds the labels coloured at level i.
+    Labels are standardized onto 1..n first. The moves are those of the
+    commutative expansion (chromatic.LevelDP), walked without collapsing:
+    each way to colour the classes level by level contributes t^asc to
+    the set composition whose i-th block holds the labels coloured at
+    level i. When `stats` is a dict it is filled by LevelDP.record.
     """
+    start = time.perf_counter() if stats is not None else 0.0
     lg = standardize_labels(lg)
-    g = lg.graph
-    if g.n == 0:
-        return NCQSymExpr.one()
-    con = contract(g)
-    if not con.feasible:
-        return NCQSymExpr.zero()
-    class_labels = [tuple(lg.labels[v] for v in cls) for cls in con.classes]
+    con = contract(lg.graph)
+    dp = LevelDP(con)
+    class_labels = [[lg.labels[v] for v in cls] for cls in con.classes]
+    block_labels: dict = {}  # block mask -> its sorted labels
+    powers: dict = {}        # ascents -> t^ascents
     terms: dict = {}
-    for levels in _surjections(con):
-        k = max(levels)
-        blocks = [[] for _ in range(k)]
-        for ci, labs in enumerate(class_labels):
-            blocks[levels[ci] - 1].extend(labs)
-        phi = tuple(tuple(sorted(b)) for b in blocks)
-        asc = sum(1 for ci, cj, _ in con.edges if levels[ci] < levels[cj])
-        bump = TPoly.t_power(asc)
-        acc = terms.get(phi)
-        terms[phi] = bump if acc is None else acc + bump
-    return NCQSymExpr(terms)
+
+    def walk(placed: int, prefix: tuple, asc: int) -> None:
+        if placed == dp.full:
+            power = powers.get(asc)
+            if power is None:
+                power = powers[asc] = TPoly.t_power(asc)
+            terms[prefix] = power
+            return
+        for block, up, _ in dp.moves(placed):
+            labels = block_labels.get(block)
+            if labels is None:
+                labels = block_labels[block] = tuple(sorted(
+                    lab for ci, labs in enumerate(class_labels) if block >> ci & 1
+                    for lab in labs))
+            walk(placed | block, prefix + (labels,), asc + up)
+
+    if con.feasible:
+        walk(0, (), 0)
+    out = NCQSymExpr(terms)
+    if stats is not None:
+        dp.record(stats, len(out.terms), start)
+    return out
 
 
 def rho(f: NCQSymExpr) -> QSymExpr:

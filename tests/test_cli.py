@@ -148,3 +148,36 @@ def test_validation_error_exits_three(capsys):
     assert code == 3
     code, _ = run(capsys, "expand")
     assert code == 3
+
+
+def test_expand_stats_leave_stdout_unchanged(capsys):
+    for extra in ((), ("--t",), ("--nc",), ("--basis", "F")):
+        argv = ("expand", "--dsl", "D(C(2),S(C(1),C(1)))", *extra)
+        assert main(list(argv)) == 0
+        plain = capsys.readouterr()
+        assert main([*argv, "--stats"]) == 0
+        counted = capsys.readouterr()
+        assert counted.out == plain.out
+        assert plain.err == ""
+        line, = counted.err.splitlines()
+        stats = json.loads(line)
+        assert set(stats) == {"classes", "states", "transitions", "terms", "seconds"}
+        assert stats["classes"] == 3 and stats["terms"] > 0
+
+
+def test_verify_honours_zero_trials(capsys):
+    code, out = run(capsys, "verify", "--suite", "oracle", "--trials", "0")
+    assert code == 0
+    assert json.loads(out)["checks"] == 0
+
+
+def test_verify_rejects_negative_trials_and_nonpositive_n(capsys):
+    for argv in (("--suite", "oracle", "--trials", "-1"),
+                 ("--suite", "r-closure", "--n", "0"),
+                 ("--suite", "hopf", "--n", "-2")):
+        code = main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        line, = captured.err.splitlines()
+        assert line.startswith("error: ")
