@@ -99,7 +99,6 @@ from .ncqsym import (
     in_ncqsym_r,
     mr_F,
     mr_inject_check,
-    multiply_nc,
     ncqsym_from_json,
     ncqsym_to_json,
     ncsym_h_meet,

@@ -142,7 +142,7 @@ def expand(g: EdgeColouredDigraph, stats: dict | None = None) -> QSymExpr:
             coeffs.append(packed & digit)
             packed >>= width
         terms[comp] = TPoly(coeffs)
-    out = QSymExpr(terms)
+    out = QSymExpr._of(terms)
     if stats is not None:
         dp.record(stats, len(out.terms), start)
     return out
@@ -208,13 +208,13 @@ def coproduct_digraph(g: EdgeColouredDigraph) -> QSymTensor:
 
 def stanley(h: SimpleGraph) -> QSymExpr:
     """Chromatic symmetric function of a graph (t specialized to 1)."""
-    return expand(gr.from_graph(h, "plain")).at_t(1)
+    return expand(gr.from_graph(h)).at_t(1)
 
 
 def shareshian_wachs(h: SimpleGraph) -> QSymExpr:
     """Chromatic quasisymmetric function of a labelled graph: dashed
     edges oriented low to high, ascents graded by t."""
-    return expand(gr.from_graph(h, "by_label"))
+    return expand(gr.from_graph(h))
 
 
 def ellzey(d: EdgeColouredDigraph) -> QSymExpr:

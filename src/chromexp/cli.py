@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import chromatic, combinat, graph as gr, ncqsym, qsym, verify
 from .combinat import (
@@ -236,12 +237,15 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--trials must be nonnegative, got {args.trials}")
     if args.n is not None and args.n < 1:
         raise ValueError(f"--n must be positive, got {args.n}")
+    stats = {} if args.stats else None
+    start = time.perf_counter()
     if suite == "oracle":
         result = verify.verify_oracle(trials=_default(args.trials, 200),
                                       max_n=_default(args.n, 5), seed=args.seed)
     elif suite == "hopf":
         result = verify.verify_hopf(trials=_default(args.trials, 50),
-                                    max_n=_default(args.n, 4), seed=args.seed)
+                                    max_n=_default(args.n, 4), seed=args.seed,
+                                    stats=stats)
     elif suite == "tables":
         n = _default(args.n, 5)
         result = verify.verify_tables(n=n, sym_n=min(n, 4))
@@ -252,6 +256,10 @@ def _cmd_verify(args) -> int:
                                          trials=_default(args.trials, 20))
     else:  # unreachable through argparse choices
         raise ValueError(f"unknown suite {suite!r}")
+    if stats is not None and suite != "hopf":  # one entry for the whole suite
+        stats[suite] = {"checks": result.checks,
+                        "seconds": time.perf_counter() - start}
+    _report_stats(stats)
     _emit(result.to_json())
     return 0 if result.ok else 1
 
@@ -387,6 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--trials", type=int)
     sub.add_argument("--r", type=r_value_from_json, default=2)
+    sub.add_argument("--stats", action="store_true",
+                     help="write the check count and seconds per identity to "
+                          "stderr as one JSON line")
     _common_flags(sub)
     sub.set_defaults(func=_cmd_verify)
 

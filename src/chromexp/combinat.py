@@ -301,8 +301,31 @@ def set_partitions(n: int):
 
 
 def standardize_set_composition(phi):
+    """Order-preserving relabelling of the ground set onto [n]."""
+    phi = set_composition(phi)
     rank = _ranks(ground_set(phi))
-    return set_composition(tuple(rank[x] for x in b) for b in phi)
+    return tuple(tuple(rank[x] for x in b) for b in phi)
+
+
+def _standardized_splits(phi):
+    """(std(phi[:i]), std(phi[i:])) for i = 0..len(phi), for a canonical
+    phi covering [n] (not validated).
+
+    Once the first i blocks form the prefix, an element x has rank
+    below[x] in the prefix (if it lies there) and x - below[x] in the
+    suffix (otherwise), where below[x] counts the prefix elements up to
+    x; one counting pass per split gives both, with no sort.
+    """
+    n = sum(len(b) for b in phi)
+    in_prefix = [0] * (n + 1)
+    for i in range(len(phi) + 1):
+        below = list(itertools.accumulate(in_prefix))
+        above = [x - c for x, c in enumerate(below)]
+        yield (tuple([tuple([below[x] for x in b]) for b in phi[:i]]),
+               tuple([tuple([above[x] for x in b]) for b in phi[i:]]))
+        if i < len(phi):
+            for x in phi[i]:
+                in_prefix[x] = 1
 
 
 def standardize_set_partition(pi):
@@ -428,21 +451,30 @@ def shifted_quasi_shuffle(phi, psi) -> set[tuple[tuple[int, ...], ...]]:
     """
     phi = set_composition(phi)
     psi = set_composition(psi)
-    n = _initial_segment_size(phi)
+    _initial_segment_size(phi)
     _initial_segment_size(psi)
+    return set(_shifted_quasi_shuffle(phi, psi))
+
+
+def _shifted_quasi_shuffle(phi, psi) -> list:
+    """shifted_quasi_shuffle for canonical phi and psi covering initial
+    segments (not validated). Every path of the interleaving gives a
+    different result, and a merged block needs no sort: the elements of
+    phi all lie below the shifted ones of psi."""
+    n = sum(len(b) for b in phi)
     shifted = tuple(tuple(x + n for x in b) for b in psi)
-    out = set()
+    out = []
 
     def rec(a, b, prefix):
         if not a:
-            out.add(prefix + b)
+            out.append(prefix + b)
             return
         if not b:
-            out.add(prefix + a)
+            out.append(prefix + a)
             return
         rec(a[1:], b, prefix + (a[0],))
         rec(a, b[1:], prefix + (b[0],))
-        rec(a[1:], b[1:], prefix + (tuple(sorted(a[0] + b[0])),))
+        rec(a[1:], b[1:], prefix + (a[0] + b[0],))
 
     rec(phi, shifted, ())
     return out

@@ -307,15 +307,10 @@ def simple_graph(n: int, edges=()) -> SimpleGraph:
     return SimpleGraph(n, frozenset(out))
 
 
-def from_graph(h: SimpleGraph, mode: str = "plain") -> EdgeColouredDigraph:
-    """All-dashed digraph of a graph.
-
-    mode "plain" picks an arbitrary orientation (low to high); "by_label"
-    orients low to high, which is the ascent convention for chromatic
-    quasisymmetric functions of labelled graphs.
-    """
-    if mode not in ("plain", "by_label"):
-        raise ValueError(f"unknown mode {mode!r}")
+def from_graph(h: SimpleGraph) -> EdgeColouredDigraph:
+    """All-dashed digraph of a graph, each edge oriented low to high (the
+    ascent convention for chromatic quasisymmetric functions of labelled
+    graphs)."""
     return make(h.n, [(a, b, NEQ) for a, b in h.edge_list()])
 
 
@@ -635,10 +630,36 @@ def digraph_to_json(g) -> dict:
 
 
 def digraph_from_json(data):
-    g = make(int(data["n"]), [(u, v, c) for u, v, c in data.get("edges", [])])
+    """The digraph (labelled when "labels" is given) of a JSON object
+    {"n": int >= 0, "edges": [[u, v, kind], ...], "labels": [int, ...]};
+    anything off that schema raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a digraph must be a JSON object, not {type(data).__name__}")
+    n = data.get("n")
+    if not _is_int(n) or n < 0:
+        raise ValueError(f'"n" must be a nonnegative integer, not {n!r}')
+    edges = data.get("edges", [])
+    if not isinstance(edges, list):
+        raise ValueError(f'"edges" must be a list, not {type(edges).__name__}')
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 3 and _is_int(e[0]) and _is_int(e[1])
+                and e[2] in _EDGE_KINDS):
+            raise ValueError(f"an edge must be [int, int, kind] with kind one of "
+                             f"{', '.join(_EDGE_KINDS)}, not {e!r}")
+    g = make(n, edges)
     if "labels" in data:
-        return LabelledDigraph(g, tuple(int(x) for x in data["labels"]))
+        labels = data["labels"]
+        if not isinstance(labels, list) or not all(map(_is_int, labels)):
+            raise ValueError(f'"labels" must be a list of integers, not {labels!r}')
+        return LabelledDigraph(g, tuple(labels))
     return g
+
+
+_EDGE_KINDS = tuple(kind.value for kind in EdgeConstraint)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 _DSL_ATOMS = {"C", "P", "Q", "K"}

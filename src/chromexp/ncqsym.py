@@ -25,11 +25,12 @@ from .combinat import (
     set_partition,
     shape,
     shape_partition,
-    shifted_quasi_shuffle,
     lambda_factorial,
+    _shifted_quasi_shuffle,
+    _standardized_splits,
 )
 from .graph import LabelledDigraph, contract, closed_subsets, induced_labelled, relabel, standardize_labels
-from .qsym import QSymExpr, _join_terms, _merge, _as_tpoly, _pretty_term
+from .qsym import QSymExpr, TermMap, _merge
 from .tpoly import TPoly, tpoly_from_json, tpoly_to_json
 
 
@@ -41,22 +42,17 @@ def _check_key(phi):
     return phi
 
 
-class NCQSymExpr:
+class NCQSymExpr(TermMap):
     """A finite sum of monomial functions M_Phi over set compositions of
     initial segments, with TPoly coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _key = staticmethod(_check_key)
+    _sort_key = staticmethod(set_composition_sort_key)
 
-    def __init__(self, terms=()):
-        data: dict = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for key, coeff in items:
-            _merge(data, _check_key(key), _as_tpoly(coeff))
-        self.terms = data
-
-    @classmethod
-    def zero(cls) -> "NCQSymExpr":
-        return cls()
+    @staticmethod
+    def _name(phi) -> str:
+        return "M" + combinat.format_set_composition(phi)
 
     @classmethod
     def one(cls) -> "NCQSymExpr":
@@ -65,35 +61,6 @@ class NCQSymExpr:
     def coefficient(self, phi) -> TPoly:
         return self.terms.get(set_composition(phi), TPoly())
 
-    def items_sorted(self):
-        return sorted(self.terms.items(), key=lambda kv: set_composition_sort_key(kv[0]))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, NCQSymExpr) and self.terms == other.terms
-
-    def __add__(self, other):
-        if not isinstance(other, NCQSymExpr):
-            return NotImplemented
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            _merge(out, key, coeff)
-        return NCQSymExpr(out)
-
-    def __neg__(self):
-        return NCQSymExpr({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, NCQSymExpr):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, factor) -> "NCQSymExpr":
-        factor = _as_tpoly(factor)
-        return NCQSymExpr({k: c * factor for k, c in self.terms.items()})
-
     def __mul__(self, other):
         """Product via the shifted quasi-shuffle of term indices."""
         if isinstance(other, NCQSymExpr):
@@ -101,67 +68,37 @@ class NCQSymExpr:
             for a, ca in self.terms.items():
                 for b, cb in other.terms.items():
                     coeff = ca * cb
-                    for gamma in shifted_quasi_shuffle(a, b):
+                    for gamma in _shifted_quasi_shuffle(a, b):
                         _merge(out, gamma, coeff)
-            return NCQSymExpr(out)
+            return NCQSymExpr._of(out)
         return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def at_t(self, t=1) -> "NCQSymExpr":
-        return NCQSymExpr({k: TPoly.of(c.evaluate(t)) for k, c in self.terms.items()})
-
-    def t_degree(self) -> int:
-        return max((c.degree() for c in self.terms.values()), default=-1)
 
     def degrees(self):
         return tuple(sorted({sum(len(b) for b in k) for k in self.terms}))
 
     def homogeneous_component(self, n: int) -> "NCQSymExpr":
-        return NCQSymExpr({k: c for k, c in self.terms.items()
-                           if sum(len(b) for b in k) == n})
-
-    def support(self):
-        return set(self.terms)
-
-    def __repr__(self):
-        return f"NCQSymExpr({self.pretty()})"
-
-    def pretty(self) -> str:
-        if not self.terms:
-            return "0"
-        return _join_terms(
-            _pretty_term(coeff, "M" + combinat.format_set_composition(key))
-            for key, coeff in self.items_sorted())
+        return NCQSymExpr._of({k: c for k, c in self.terms.items()
+                               if sum(len(b) for b in k) == n})
 
 
-class NCQSymTensor:
+class NCQSymTensor(TermMap):
     """Two-fold tensors of noncommutative monomial terms."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=()):
-        data: dict = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for (left, right), coeff in items:
-            _merge(data, (_check_key(left), _check_key(right)), _as_tpoly(coeff))
-        self.terms = data
+    @staticmethod
+    def _key(pair):
+        left, right = pair
+        return _check_key(left), _check_key(right)
 
-    def __bool__(self):
-        return bool(self.terms)
+    @staticmethod
+    def _sort_key(pair):
+        return set_composition_sort_key(pair[0]), set_composition_sort_key(pair[1])
 
-    def __eq__(self, other):
-        return isinstance(other, NCQSymTensor) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            _merge(out, key, coeff)
-        return NCQSymTensor(out)
-
-    def __sub__(self, other):
-        return self + NCQSymTensor({k: -c for k, c in other.terms.items()})
+    @staticmethod
+    def _name(pair) -> str:
+        return "M%s (x) M%s" % (combinat.format_set_composition(pair[0]),
+                                combinat.format_set_composition(pair[1]))
 
     def __mul__(self, other):
         if not isinstance(other, NCQSymTensor):
@@ -170,28 +107,11 @@ class NCQSymTensor:
         for (a1, a2), ca in self.terms.items():
             for (b1, b2), cb in other.terms.items():
                 coeff = ca * cb
-                for g1 in shifted_quasi_shuffle(a1, b1):
-                    for g2 in shifted_quasi_shuffle(a2, b2):
+                right = _shifted_quasi_shuffle(a2, b2)
+                for g1 in _shifted_quasi_shuffle(a1, b1):
+                    for g2 in right:
                         _merge(out, (g1, g2), coeff)
-        return NCQSymTensor(out)
-
-    def items_sorted(self):
-        return sorted(self.terms.items(),
-                      key=lambda kv: (set_composition_sort_key(kv[0][0]),
-                                      set_composition_sort_key(kv[0][1])))
-
-    def pretty(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (a, b), coeff in self.items_sorted():
-            name = "M%s (x) M%s" % (combinat.format_set_composition(a),
-                                    combinat.format_set_composition(b))
-            bits.append(_pretty_term(coeff, name))
-        return _join_terms(bits)
-
-    def __repr__(self):
-        return f"NCQSymTensor({self.pretty()})"
+        return NCQSymTensor._of(out)
 
 
 def tensor_nc(f: NCQSymExpr, g: NCQSymExpr) -> NCQSymTensor:
@@ -199,7 +119,7 @@ def tensor_nc(f: NCQSymExpr, g: NCQSymExpr) -> NCQSymTensor:
     for a, ca in f.terms.items():
         for b, cb in g.terms.items():
             _merge(out, (a, b), ca * cb)
-    return NCQSymTensor(out)
+    return NCQSymTensor._of(out)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +160,7 @@ def expand_nc(lg: LabelledDigraph, stats: dict | None = None) -> NCQSymExpr:
 
     if con.feasible:
         walk(0, (), 0)
-    out = NCQSymExpr(terms)
+    out = NCQSymExpr._of(terms)
     if stats is not None:
         dp.record(stats, len(out.terms), start)
     return out
@@ -251,22 +171,16 @@ def rho(f: NCQSymExpr) -> QSymExpr:
     out: dict = {}
     for phi, coeff in f.terms.items():
         _merge(out, shape(phi), coeff)
-    return QSymExpr(out)
-
-
-def multiply_nc(f: NCQSymExpr, g: NCQSymExpr) -> NCQSymExpr:
-    return f * g
+    return QSymExpr._of(out)
 
 
 def coproduct_nc(f: NCQSymExpr) -> NCQSymTensor:
     """Split each index into a prefix and suffix and standardize both."""
     out: dict = {}
     for phi, coeff in f.terms.items():
-        for i in range(len(phi) + 1):
-            left = combinat.standardize_set_composition(phi[:i])
-            right = combinat.standardize_set_composition(phi[i:])
-            _merge(out, (left, right), coeff)
-    return NCQSymTensor(out)
+        for pair in _standardized_splits(phi):
+            _merge(out, pair, coeff)
+    return NCQSymTensor._of(out)
 
 
 def coproduct_nc_digraph(lg: LabelledDigraph) -> NCQSymTensor:

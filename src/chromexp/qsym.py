@@ -44,111 +44,89 @@ def _as_tpoly(value) -> TPoly:
     return value if isinstance(value, TPoly) else TPoly.of(value)
 
 
-class QSymExpr:
-    """A finite sum of monomial quasisymmetric functions M_alpha with
-    TPoly coefficients. Mixed degrees may coexist; the keys of each
-    homogeneous component all have the same size."""
+class TermMap:
+    """A sparse map from term keys to nonzero TPoly coefficients, the
+    core of the expression and tensor classes. Each subclass supplies
+    `_key` (check and canonicalize one key), `_sort_key` (display order),
+    `_name` (a term's printed name) and its own `__mul__`.
+
+    The public constructor validates and canonicalizes every key,
+    coerces the coefficients and merges repeats.
+    `_of` trusts its dict: canonical keys and nonzero TPoly
+    coefficients, as every operation of the algebras produces them, so
+    results are built without checking their keys again.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        data: dict[tuple[int, ...], TPoly] = {}
+        data: dict = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for key, coeff in items:
-            _merge(data, composition(key), _as_tpoly(coeff))
+            _merge(data, self._key(key), _as_tpoly(coeff))
         self.terms = data
 
     @classmethod
-    def zero(cls) -> "QSymExpr":
-        return cls()
+    def _of(cls, terms: dict):
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
 
     @classmethod
-    def one(cls) -> "QSymExpr":
-        return cls({(): 1})
-
-    def coefficient(self, alpha) -> TPoly:
-        return self.terms.get(composition(alpha), TPoly())
-
-    def items_sorted(self):
-        return sorted(self.terms.items(), key=lambda kv: composition_sort_key(kv[0]))
+    def zero(cls):
+        return cls._of({})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QSymExpr) and self.terms == other.terms
+        return isinstance(other, type(self)) and self.terms == other.terms
 
-    def __add__(self, other) -> "QSymExpr":
-        if not isinstance(other, QSymExpr):
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
             return NotImplemented
         out = dict(self.terms)
         for key, coeff in other.terms.items():
             _merge(out, key, coeff)
-        return QSymExpr(out)
+        return self._of(out)
 
-    def __neg__(self) -> "QSymExpr":
-        return QSymExpr({k: -c for k, c in self.terms.items()})
+    def __neg__(self):
+        return self._of({k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other) -> "QSymExpr":
-        if not isinstance(other, QSymExpr):
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self + (-other)
 
-    def scale(self, factor) -> "QSymExpr":
+    def scale(self, factor):
         factor = _as_tpoly(factor)
-        return QSymExpr({k: c * factor for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        """Product via the overlapping shuffle on monomial indices."""
-        if isinstance(other, QSymExpr):
-            out: dict = {}
-            for a, ca in self.terms.items():
-                for b, cb in other.terms.items():
-                    coeff = ca * cb
-                    for gamma, mult in quasi_shuffle(a, b).items():
-                        _merge(out, gamma, coeff * mult)
-            return QSymExpr(out)
-        return self.scale(other)
+        return self._of({k: p for k, c in self.terms.items() if (p := c * factor)})
 
     def __rmul__(self, other):
         return self.scale(other)
 
-    def at_t(self, t=1) -> "QSymExpr":
+    def at_t(self, t=1):
         """Specialize the ascent variable."""
-        return QSymExpr({k: TPoly.of(c.evaluate(t)) for k, c in self.terms.items()})
+        return self._of({k: p for k, c in self.terms.items()
+                         if (p := TPoly.of(c.evaluate(t)))})
 
     def t_degree(self) -> int:
         return max((c.degree() for c in self.terms.values()), default=-1)
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted({sum(k) for k in self.terms}))
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
-    def degree(self) -> int:
-        degs = self.degrees()
-        if len(degs) != 1:
-            raise ValueError("expression is zero or mixed-degree")
-        return degs[0]
-
-    def homogeneous_component(self, n: int) -> "QSymExpr":
-        return QSymExpr({k: c for k, c in self.terms.items() if sum(k) == n})
-
     def support(self):
         return set(self.terms)
 
-    def __repr__(self):
-        return f"QSymExpr({self.pretty()})"
+    def items_sorted(self):
+        return sorted(self.terms.items(), key=lambda kv: self._sort_key(kv[0]))
 
     def pretty(self) -> str:
         if not self.terms:
             return "0"
-        bits = []
-        for key, coeff in self.items_sorted():
-            name = "M" + combinat.format_composition(key)
-            bits.append(_pretty_term(coeff, name))
-        return _join_terms(bits)
+        return _join_terms(_pretty_term(coeff, self._name(key))
+                           for key, coeff in self.items_sorted())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.pretty()})"
 
 
 def _join_terms(bits) -> str:
@@ -167,32 +145,72 @@ def _pretty_term(coeff: TPoly, name: str) -> str:
     return f"({text})*{name}"
 
 
-class QSymTensor:
+class QSymExpr(TermMap):
+    """A finite sum of monomial quasisymmetric functions M_alpha with
+    TPoly coefficients. Mixed degrees may coexist; the keys of each
+    homogeneous component all have the same size."""
+
+    __slots__ = ()
+    _key = staticmethod(composition)
+    _sort_key = staticmethod(composition_sort_key)
+
+    @staticmethod
+    def _name(alpha) -> str:
+        return "M" + combinat.format_composition(alpha)
+
+    @classmethod
+    def one(cls) -> "QSymExpr":
+        return cls({(): 1})
+
+    def coefficient(self, alpha) -> TPoly:
+        return self.terms.get(composition(alpha), TPoly())
+
+    def __mul__(self, other):
+        """Product via the overlapping shuffle on monomial indices."""
+        if isinstance(other, QSymExpr):
+            out: dict = {}
+            for a, ca in self.terms.items():
+                for b, cb in other.terms.items():
+                    coeff = ca * cb
+                    for gamma, mult in quasi_shuffle(a, b).items():
+                        _merge(out, gamma, coeff * mult)
+            return QSymExpr._of(out)
+        return self.scale(other)
+
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(sorted({sum(k) for k in self.terms}))
+
+    def is_homogeneous(self) -> bool:
+        return len(self.degrees()) <= 1
+
+    def degree(self) -> int:
+        degs = self.degrees()
+        if len(degs) != 1:
+            raise ValueError("expression is zero or mixed-degree")
+        return degs[0]
+
+    def homogeneous_component(self, n: int) -> "QSymExpr":
+        return QSymExpr._of({k: c for k, c in self.terms.items() if sum(k) == n})
+
+
+class QSymTensor(TermMap):
     """A sum of two-fold tensors of monomial terms, for coproducts."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=()):
-        data: dict = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for (left, right), coeff in items:
-            _merge(data, (composition(left), composition(right)), _as_tpoly(coeff))
-        self.terms = data
+    @staticmethod
+    def _key(pair):
+        left, right = pair
+        return composition(left), composition(right)
 
-    def __bool__(self):
-        return bool(self.terms)
+    @staticmethod
+    def _sort_key(pair):
+        return composition_sort_key(pair[0]), composition_sort_key(pair[1])
 
-    def __eq__(self, other):
-        return isinstance(other, QSymTensor) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            _merge(out, key, coeff)
-        return QSymTensor(out)
-
-    def __sub__(self, other):
-        return self + QSymTensor({k: -c for k, c in other.terms.items()})
+    @staticmethod
+    def _name(pair) -> str:
+        return "M%s (x) M%s" % (combinat.format_composition(pair[0]),
+                                combinat.format_composition(pair[1]))
 
     def __mul__(self, other):
         """Componentwise product (a x b)(c x d) = ac x bd."""
@@ -207,26 +225,7 @@ class QSymTensor:
                 for g1, m1 in left.items():
                     for g2, m2 in right.items():
                         _merge(out, (g1, g2), coeff * (m1 * m2))
-        return QSymTensor(out)
-
-    def items_sorted(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (composition_sort_key(kv[0][0]), composition_sort_key(kv[0][1])),
-        )
-
-    def pretty(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (a, b), coeff in self.items_sorted():
-            name = "M%s (x) M%s" % (combinat.format_composition(a),
-                                    combinat.format_composition(b))
-            bits.append(_pretty_term(coeff, name))
-        return _join_terms(bits)
-
-    def __repr__(self):
-        return f"QSymTensor({self.pretty()})"
+        return QSymTensor._of(out)
 
 
 def tensor(f: QSymExpr, g: QSymExpr) -> QSymTensor:
@@ -234,7 +233,7 @@ def tensor(f: QSymExpr, g: QSymExpr) -> QSymTensor:
     for a, ca in f.terms.items():
         for b, cb in g.terms.items():
             _merge(out, (a, b), ca * cb)
-    return QSymTensor(out)
+    return QSymTensor._of(out)
 
 
 def coproduct(f: QSymExpr) -> QSymTensor:
@@ -243,7 +242,7 @@ def coproduct(f: QSymExpr) -> QSymTensor:
     for alpha, coeff in f.terms.items():
         for i in range(len(alpha) + 1):
             _merge(out, (alpha[:i], alpha[i:]), coeff)
-    return QSymTensor(out)
+    return QSymTensor._of(out)
 
 
 # ---------------------------------------------------------------------------

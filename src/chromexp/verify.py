@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -136,11 +137,9 @@ def _triple_splits_qsym(tensor, apply_left):
 
 def _triple_splits_nc(tensor, apply_left):
     out: dict = {}
-    std = combinat.standardize_set_composition
     for (a, b), coeff in tensor.terms.items():
         target, fixed = (a, b) if apply_left else (b, a)
-        for i in range(len(target) + 1):
-            first, second = std(target[:i]), std(target[i:])
+        for first, second in combinat._standardized_splits(target):
             pieces = (first, second, fixed) if apply_left else (fixed, first, second)
             qsym._merge(out, pieces, coeff)
     return out
@@ -157,84 +156,92 @@ def _counit_legs(tensor, empty_key=()):
     return left, right
 
 
-def verify_hopf(trials: int = 50, max_n: int = 4, seed: int = 0) -> VerifyResult:
+def verify_hopf(trials: int = 50, max_n: int = 4, seed: int = 0,
+                stats: dict | None = None) -> VerifyResult:
     """Product and coproduct identities, digraph side against algebra
-    side, plus coassociativity, compatibility, and the counit."""
+    side, plus coassociativity, compatibility, and the counit.
+
+    When `stats` is a dict, it maps each identity to its check count and
+    the seconds since the check before it (building its inputs included).
+    """
     result = VerifyResult("hopf")
     rng = random.Random(seed)
+    mark = time.perf_counter()
+
+    def check(identity, holds, g, other=None) -> bool:
+        nonlocal mark
+        result.checks += 1
+        if stats is not None:
+            now = time.perf_counter()
+            entry = stats.setdefault(identity, {"checks": 0, "seconds": 0.0})
+            entry["checks"] += 1
+            entry["seconds"] += now - mark
+            mark = now
+        if not holds:
+            graphs = {"digraph": digraph_to_json(g)}
+            if other is not None:
+                graphs["other"] = digraph_to_json(other)
+            result.fail(identity=identity, trial=trial, seed=seed, **graphs)
+        return holds
+
     for trial in range(trials):
         g1 = random_digraph(rng, max_n)
         g2 = random_digraph(rng, max_n)
         f1, f2 = chromatic.expand(g1), chromatic.expand(g2)
-        result.checks += 1
-        if f1 * f2 != chromatic.expand(gr.combine("disjoint", g1, g2)):
-            result.fail(identity="product", trial=trial, seed=seed,
-                        digraph=digraph_to_json(g1), other=digraph_to_json(g2))
+        if not check("product",
+                     f1 * f2 == chromatic.expand(gr.combine("disjoint", g1, g2)), g1, g2):
             return result
 
         lg1 = random_labelled_digraph(rng, max_n)
         lg2 = random_labelled_digraph(rng, max_n)
         y1, y2 = expand_nc(lg1), expand_nc(lg2)
-        result.checks += 1
-        if y1 * y2 != expand_nc(gr.combine_labelled("disjoint", lg1, lg2, shift=True)):
-            result.fail(identity="nc-product", trial=trial, seed=seed,
-                        digraph=digraph_to_json(lg1), other=digraph_to_json(lg2))
+        disjoint = gr.combine_labelled("disjoint", lg1, lg2, shift=True)
+        if not check("nc-product", y1 * y2 == expand_nc(disjoint), lg1, lg2):
             return result
 
         g = random_digraph(rng, max_n)
-        result.checks += 1
-        if chromatic.coproduct_digraph(g) != coproduct(chromatic.expand(g).at_t(1)):
-            result.fail(identity="coproduct", trial=trial, seed=seed,
-                        digraph=digraph_to_json(g))
+        if not check("coproduct",
+                     chromatic.coproduct_digraph(g) == coproduct(chromatic.expand(g).at_t(1)),
+                     g):
             return result
 
         lg = random_labelled_digraph(rng, max_n)
-        result.checks += 1
-        if ncqsym.coproduct_nc_digraph(lg) != coproduct_nc(expand_nc(lg).at_t(1)):
-            result.fail(identity="nc-coproduct", trial=trial, seed=seed,
-                        digraph=digraph_to_json(lg))
+        if not check("nc-coproduct",
+                     ncqsym.coproduct_nc_digraph(lg) == coproduct_nc(expand_nc(lg).at_t(1)),
+                     lg):
             return result
 
         # coassociativity, compatibility, counit on the same samples
         f = chromatic.expand(g).at_t(1)
         delta = coproduct(f)
-        result.checks += 1
-        if _triple_splits_qsym(delta, True) != _triple_splits_qsym(delta, False):
-            result.fail(identity="coassociativity", trial=trial, seed=seed,
-                        digraph=digraph_to_json(g))
+        if not check("coassociativity",
+                     _triple_splits_qsym(delta, True) == _triple_splits_qsym(delta, False),
+                     g):
             return result
         left, right = _counit_legs(delta)
-        result.checks += 1
-        if QSymExpr(left) != f or QSymExpr(right) != f:
-            result.fail(identity="counit", trial=trial, seed=seed,
-                        digraph=digraph_to_json(g))
+        if not check("counit", QSymExpr._of(left) == f and QSymExpr._of(right) == f, g):
             return result
         pair = f1.at_t(1), f2.at_t(1)
-        result.checks += 1
-        if coproduct(pair[0] * pair[1]) != coproduct(pair[0]) * coproduct(pair[1]):
-            result.fail(identity="bialgebra", trial=trial, seed=seed,
-                        digraph=digraph_to_json(g1), other=digraph_to_json(g2))
+        if not check("bialgebra",
+                     coproduct(pair[0] * pair[1]) == coproduct(pair[0]) * coproduct(pair[1]),
+                     g1, g2):
             return result
 
         y = expand_nc(lg).at_t(1)
         delta_nc = coproduct_nc(y)
-        result.checks += 1
-        if _triple_splits_nc(delta_nc, True) != _triple_splits_nc(delta_nc, False):
-            result.fail(identity="nc-coassociativity", trial=trial, seed=seed,
-                        digraph=digraph_to_json(lg))
+        if not check("nc-coassociativity",
+                     _triple_splits_nc(delta_nc, True) == _triple_splits_nc(delta_nc, False),
+                     lg):
             return result
         pair = y1.at_t(1), y2.at_t(1)
-        result.checks += 1
-        if coproduct_nc(pair[0] * pair[1]) != coproduct_nc(pair[0]) * coproduct_nc(pair[1]):
-            result.fail(identity="nc-bialgebra", trial=trial, seed=seed,
-                        digraph=digraph_to_json(lg1), other=digraph_to_json(lg2))
+        if not check("nc-bialgebra",
+                     coproduct_nc(pair[0] * pair[1])
+                     == coproduct_nc(pair[0]) * coproduct_nc(pair[1]),
+                     lg1, lg2):
             return result
 
         # the commutation map is an algebra map
-        result.checks += 1
-        if rho(y1 * y2) != rho(y1) * rho(y2):
-            result.fail(identity="rho-algebra-map", trial=trial, seed=seed,
-                        digraph=digraph_to_json(lg1), other=digraph_to_json(lg2))
+        if not check("rho-algebra-map", rho(y1 * y2) == rho(y1) * rho(y2), lg1, lg2):
             return result
     return result
 

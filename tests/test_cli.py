@@ -181,3 +181,50 @@ def test_verify_rejects_negative_trials_and_nonpositive_n(capsys):
         assert captured.out == ""
         line, = captured.err.splitlines()
         assert line.startswith("error: ")
+
+
+@pytest.mark.parametrize("raw", [
+    '{"n": null}',
+    '[1, 2]',
+    '{"n": true}',
+    '{"n": -1}',
+    '{"n": 2, "edges": [[0, 1.5, "neq"]]}',
+    '{"n": 2, "edges": [[0, 1]]}',
+    '{"n": 2, "edges": [[0, 1, "dotted"]]}',
+    '{"n": 2, "edges": {"0": 1}}',
+    '{"n": 2, "labels": [1, 2.5]}',
+    '{"n": 2, "labels": "12"}',
+], ids=["n-null", "top-level-array", "n-bool", "n-negative", "vertex-float",
+        "edge-pair", "edge-kind", "edges-object", "label-float", "labels-string"])
+def test_malformed_digraph_json_exits_three(tmp_path, capsys, raw):
+    path = tmp_path / "g.json"
+    path.write_text(raw)
+    code = main(["expand", "--json", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    assert line.startswith("error: ")
+
+
+HOPF_IDENTITIES = {"product", "nc-product", "coproduct", "nc-coproduct", "coassociativity",
+                   "counit", "bialgebra", "nc-coassociativity", "nc-bialgebra",
+                   "rho-algebra-map"}
+
+
+def test_verify_stats_leave_stdout_unchanged(capsys):
+    for suite, extra, names in (("hopf", ("--trials", "2", "--n", "3"), HOPF_IDENTITIES),
+                                ("tables", ("--n", "2"), {"tables"})):
+        argv = ["verify", "--suite", suite, *extra]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main([*argv, "--stats"]) == 0
+        counted = capsys.readouterr()
+        assert counted.out == plain.out
+        assert plain.err == ""
+        line, = counted.err.splitlines()
+        stats = json.loads(line)
+        assert set(stats) == names
+        assert sum(entry["checks"] for entry in stats.values()) \
+            == json.loads(plain.out)["checks"]
+        assert all(entry["seconds"] >= 0 for entry in stats.values())

@@ -180,7 +180,7 @@ def test_from_poset_rejects_cycles():
 
 def test_from_graph_and_dashed():
     h = simple_graph(2, [(0, 1)])
-    g = from_graph(h, "by_label")
+    g = from_graph(h)
     assert g.edge_list() == [(0, 1, NEQ)]
     d = make(3, [(0, 1, LT), (2, 1, LEQ)])
     assert from_digraph_dashed(d).edge_list() == [(0, 1, NEQ), (2, 1, NEQ)]

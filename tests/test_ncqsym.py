@@ -49,7 +49,15 @@ from chromexp.ncqsym import (
     to_ncsym_m,
 )
 from chromexp.oracle import assert_equal, direct_expand_nc, realize_nc
-from chromexp.qsym import basis_Fbar, basis_F, basis_M, basis_sym
+from chromexp.qsym import (
+    QSymExpr,
+    QSymTensor,
+    basis_Fbar,
+    basis_F,
+    basis_M,
+    basis_sym,
+    qsym_from_json,
+)
 from chromexp.tpoly import TPoly
 
 
@@ -371,9 +379,39 @@ def test_json_roundtrip():
     assert ncqsym_from_json(data) == f
 
 
-def test_keys_must_cover_initial_segments():
+_BAD_SET_COMPOSITIONS = {
+    "nonpositive-part": ((0,), (1,)),
+    "overlapping-blocks": ((1, 2), (2,)),
+    "empty-block": ((1,), ()),
+    "not-initial-segment": ((2,), (3,)),
+}
+# a composition's parts are block sizes: it can only have a nonpositive
+# or an empty (zero) part
+_BAD_COMPOSITIONS = {"nonpositive-part": (2, -1), "empty-block": (1, 0)}
+
+_BUILDERS = {
+    "QSymExpr": (_BAD_COMPOSITIONS, lambda k: QSymExpr({k: 1})),
+    "QSymTensor-left": (_BAD_COMPOSITIONS, lambda k: QSymTensor({(k, (1,)): 1})),
+    "QSymTensor-right": (_BAD_COMPOSITIONS, lambda k: QSymTensor({((1,), k): 1})),
+    "qsym_from_json": (_BAD_COMPOSITIONS, lambda k: qsym_from_json(
+        {"terms": [{"composition": list(k), "coeff_t": [1]}]})),
+    "NCQSymExpr": (_BAD_SET_COMPOSITIONS, lambda k: NCQSymExpr({k: 1})),
+    "NCQSymTensor-left": (_BAD_SET_COMPOSITIONS, lambda k: NCQSymTensor({(k, ((1,),)): 1})),
+    "NCQSymTensor-right": (_BAD_SET_COMPOSITIONS, lambda k: NCQSymTensor({(((1,),), k): 1})),
+    "ncqsym_from_json": (_BAD_SET_COMPOSITIONS, lambda k: ncqsym_from_json(
+        {"terms": [{"set_composition": [list(b) for b in k], "coeff_t": [1]}]})),
+    "basis_nc": (_BAD_SET_COMPOSITIONS, lambda k: basis_nc("F", k)),
+}
+
+
+@pytest.mark.parametrize("build, key", [
+    pytest.param(build, key, id=f"{name}-{case}")
+    for name, (cases, build) in _BUILDERS.items() for case, key in cases.items()])
+def test_keys_must_cover_initial_segments(build, key):
+    """The public constructors and readers validate every key; only the
+    results of algebra operations are trusted."""
     with pytest.raises(ValueError):
-        NCQSymExpr({sc((2,), (3,)): 1})
+        build(key)
 
 
 def test_r_coordinates_serialize():

@@ -1,0 +1,92 @@
+"""Differential checks of the trusted term-map constructor.
+
+Every algebra operation builds its result with `TermMap._of`, which does
+not look at the keys. Each result must equal what the validating public
+constructor builds from the same terms, and hold no zero coefficient:
+then every key a trusted path made would have passed the public check.
+The lean combinatorial cores behind those operations are checked against
+the validating functions they replace.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from chromexp import combinat
+from chromexp.chromatic import expand
+from chromexp.graph import labelled
+from chromexp.ncqsym import coproduct_nc, expand_nc, rho, tensor_nc
+from chromexp.qsym import coproduct, tensor
+from chromexp.tpoly import TPoly
+from chromexp.verify import random_digraph, random_labelled_digraph
+
+T = TPoly.t_power(1)
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def assert_canonical(x):
+    assert type(x)(x.terms) == x
+    assert all(isinstance(c, TPoly) and c for c in x.terms.values())
+
+
+def ring_results(f, g):
+    """Every ring operation on f and g, including those that cancel."""
+    return [f * g, f + g, f - g, f - f, -f, f.scale(0), f.scale(T), 3 * f,
+            f.at_t(1), f.at_t(-1), (f - f.scale(T)).at_t(1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS)
+def test_commutative_results_pass_the_public_check(seed):
+    rng = random.Random(seed)
+    g1, g2 = random_digraph(rng, 4, min_n=0), random_digraph(rng, 4, min_n=0)
+    f1, f2 = expand(g1), expand(g2)
+    d1, d2 = coproduct(f1), coproduct(f2.at_t(1))
+    results = [f1, f2, f1.homogeneous_component(g1.n), d1, d2, tensor(f1, f2)]
+    results += ring_results(f1, f2) + ring_results(d1, d2)
+    for x in results:
+        assert_canonical(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS)
+def test_noncommutative_results_pass_the_public_check(seed):
+    rng = random.Random(seed)
+    lg1 = random_labelled_digraph(rng, 3, min_n=0)
+    lg2 = random_labelled_digraph(rng, 3, min_n=0)
+    # labels off an initial segment, which expand_nc standardizes
+    lg2 = labelled(lg2.graph, [3 * x for x in lg2.labels])
+    y1, y2 = expand_nc(lg1), expand_nc(lg2)
+    d1, d2 = coproduct_nc(y1), coproduct_nc(y2.at_t(1))
+    results = [y1, y2, y1.homogeneous_component(lg1.graph.n), rho(y1), rho(y1 * y2),
+               d1, d2, tensor_nc(y1, y2)]
+    results += ring_results(y1, y2) + ring_results(d1, d2)
+    for x in results:
+        assert_canonical(x)
+
+
+@st.composite
+def set_compositions_of_n(draw, max_n=8):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    order = draw(st.permutations(range(1, n + 1)))
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=max(n - 1, 1)),
+                               max_size=max(n - 1, 0))) & set(range(1, n)))
+    bounds = [0, *cuts, n] if n else [0]
+    return tuple(tuple(sorted(order[a:b])) for a, b in zip(bounds, bounds[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(set_compositions_of_n())
+def test_standardized_splits_match_standardize(phi):
+    std = combinat.standardize_set_composition
+    assert list(combinat._standardized_splits(phi)) == [
+        (std(phi[:i]), std(phi[i:])) for i in range(len(phi) + 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(set_compositions_of_n(max_n=4), set_compositions_of_n(max_n=4))
+def test_lean_shifted_quasi_shuffle_is_canonical_and_repeat_free(phi, psi):
+    out = combinat._shifted_quasi_shuffle(phi, psi)
+    assert len(out) == len(set(out))
+    assert all(combinat.set_composition(gamma) == gamma for gamma in out)
+    assert set(out) == combinat.shifted_quasi_shuffle(phi, psi)
