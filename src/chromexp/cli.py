@@ -325,8 +325,7 @@ def _cmd_mr(args) -> int:
 
 def _cmd_balanced(args) -> int:
     raw = sys.stdin.read() if args.graph == "-" else open(args.graph, encoding="utf-8").read()
-    data = json.loads(raw)
-    h = gr.simple_graph(int(data["n"]), [tuple(e) for e in data.get("edges", [])])
+    h = gr.simple_graph_from_json(json.loads(raw))
     balanced = []
     for orientation in gr.orientations(h):
         if gr.is_k_balanced(orientation, args.k):

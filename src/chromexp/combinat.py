@@ -206,11 +206,6 @@ def standardize_word(word) -> tuple[int, ...]:
     return tuple(out)
 
 
-def descents(sigma) -> tuple[int, ...]:
-    """Positions i with sigma(i) > sigma(i+1)."""
-    return tuple(i + 1 for i in range(len(sigma) - 1) if sigma[i] > sigma[i + 1])
-
-
 def runs_set_composition(sigma) -> tuple[tuple[int, ...], ...]:
     """Maximal increasing runs of the one-line word, as a set composition.
 

@@ -629,18 +629,25 @@ def digraph_to_json(g) -> dict:
     }
 
 
-def digraph_from_json(data):
-    """The digraph (labelled when "labels" is given) of a JSON object
-    {"n": int >= 0, "edges": [[u, v, kind], ...], "labels": [int, ...]};
-    anything off that schema raises ValueError."""
+def _json_n_and_edges(data, what: str):
+    """n and the edge list of a JSON object {"n": int >= 0, "edges": [...]};
+    the edges themselves are checked by the caller."""
     if not isinstance(data, dict):
-        raise ValueError(f"a digraph must be a JSON object, not {type(data).__name__}")
+        raise ValueError(f"a {what} must be a JSON object, not {type(data).__name__}")
     n = data.get("n")
     if not _is_int(n) or n < 0:
         raise ValueError(f'"n" must be a nonnegative integer, not {n!r}')
     edges = data.get("edges", [])
     if not isinstance(edges, list):
         raise ValueError(f'"edges" must be a list, not {type(edges).__name__}')
+    return n, edges
+
+
+def digraph_from_json(data):
+    """The digraph (labelled when "labels" is given) of a JSON object
+    {"n": int >= 0, "edges": [[u, v, kind], ...], "labels": [int, ...]};
+    anything off that schema raises ValueError."""
+    n, edges = _json_n_and_edges(data, "digraph")
     for e in edges:
         if not (isinstance(e, list) and len(e) == 3 and _is_int(e[0]) and _is_int(e[1])
                 and e[2] in _EDGE_KINDS):
@@ -653,6 +660,16 @@ def digraph_from_json(data):
             raise ValueError(f'"labels" must be a list of integers, not {labels!r}')
         return LabelledDigraph(g, tuple(labels))
     return g
+
+
+def simple_graph_from_json(data) -> SimpleGraph:
+    """The simple graph of a JSON object {"n": int >= 0, "edges": [[u, v], ...]};
+    anything off that schema raises ValueError."""
+    n, edges = _json_n_and_edges(data, "graph")
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):
+            raise ValueError(f"an edge must be [int, int], not {e!r}")
+    return simple_graph(n, edges)
 
 
 _EDGE_KINDS = tuple(kind.value for kind in EdgeConstraint)

@@ -7,57 +7,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _to_matrix(vectors):
-    keys = sorted({k for vec in vectors for k in vec})
-    rows = [[Fraction(vec.get(k, 0)) for vec in vectors] for k in keys]
-    return keys, rows
-
-
-def exact_rank(vectors) -> int:
-    """Rank of the span of the given coordinate dicts."""
-    if not vectors:
-        return 0
-    _, rows = _to_matrix(vectors)
-    return _eliminate(rows)
-
-
-def _eliminate(rows) -> int:
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
+def _reduce(rows, ncols) -> list[int]:
+    """Gauss-Jordan elimination of the first ncols columns of rows, in
+    place; returns the pivot columns, one per leading row."""
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
         if rank == len(rows):
             break
-    return rank
-
-
-def solve_combination(columns, target):
-    """Coefficients x with sum(x_j * columns[j]) == target, or None.
-
-    columns and target are coordinate dicts. When the system is
-    underdetermined the free coefficients are set to zero.
-    """
-    keys = sorted(set(target) | {k for col in columns for k in col})
-    if not columns:
-        return [] if all(Fraction(target.get(k, 0)) == 0 for k in keys) else None
-    rows = [[Fraction(col.get(k, 0)) for col in columns] + [Fraction(target.get(k, 0))]
-            for k in keys]
-    ncols = len(columns)
-    pivots = []
-    rank = 0
-    for col in range(ncols):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
             continue
@@ -69,11 +26,30 @@ def solve_combination(columns, target):
                 factor = rows[r][col]
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
         pivots.append(col)
-        rank += 1
-    for r in range(rank, len(rows)):
-        if rows[r][ncols] != 0:
-            return None
+    return pivots
+
+
+def exact_rank(vectors) -> int:
+    """Rank of the span of the given coordinate dicts."""
+    keys = sorted({k for vec in vectors for k in vec})
+    rows = [[Fraction(vec.get(k, 0)) for vec in vectors] for k in keys]
+    return len(_reduce(rows, len(vectors)))
+
+
+def solve_combination(columns, target):
+    """Coefficients x with sum(x_j * columns[j]) == target, or None.
+
+    columns and target are coordinate dicts. When the system is
+    underdetermined the free coefficients are set to zero.
+    """
+    keys = sorted(set(target) | {k for col in columns for k in col})
+    rows = [[Fraction(col.get(k, 0)) for col in columns] + [Fraction(target.get(k, 0))]
+            for k in keys]
+    ncols = len(columns)
+    pivots = _reduce(rows, ncols)
+    if any(row[ncols] != 0 for row in rows[len(pivots):]):
+        return None
     solution = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        solution[col] = rows[r][ncols]
+    for row, col in zip(rows, pivots):
+        solution[col] = row[ncols]
     return solution

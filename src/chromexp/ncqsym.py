@@ -394,28 +394,14 @@ def in_ncqsym_r(f: NCQSymExpr, r) -> bool:
 # coordinates in other bases
 
 def to_ncqsym_basis(f: NCQSymExpr, kind: str) -> dict[tuple, TPoly]:
-    """Expand f over the F or Fbar basis by triangular peeling.
-
-    F elements add strictly finer monomial terms and Fbar elements add
-    strictly coarser ones, so peeling support keys by block count (fewest
-    first for F, most first for Fbar) isolates one coefficient at a time.
-    """
+    """Expand f over the F or Fbar basis by triangular peeling: F
+    elements add strictly finer monomial terms, Fbar elements strictly
+    coarser ones."""
     if kind == "M":
         return dict(f.terms)
     if kind not in ("F", "Fbar"):
         raise ValueError(f"unknown noncommutative basis kind {kind!r}")
-    ascending = kind == "F"
-    out: dict[tuple, TPoly] = {}
-    remaining = dict(f.terms)
-    while remaining:
-        psi = min(remaining,
-                  key=lambda k: ((len(k) if ascending else -len(k)),
-                                 set_composition_sort_key(k)))
-        coeff = remaining[psi]
-        out[psi] = coeff
-        for member, c in basis_nc(kind, psi).terms.items():
-            _merge(remaining, member, -(coeff * c))
-    return out
+    return f.peel(lambda psi: basis_nc(kind, psi), finer=kind == "F")
 
 
 def to_ncsym_m(f: NCQSymExpr) -> dict[tuple, TPoly]:

@@ -13,9 +13,11 @@ from .qsym import _merge, _as_tpoly
 from .tpoly import TPoly
 
 
-class TruncPoly:
-    """A polynomial in x_1..x_k with TPoly coefficients, stored as a map
-    from exponent vectors of length k."""
+class _KeyedPoly:
+    """A sparse map from keys in k variables or letters to TPoly
+    coefficients. Each subclass supplies `_key` (check and normalize one
+    key), `_operands` (what differs between incompatible operands) and
+    its product."""
 
     __slots__ = ("k", "terms")
 
@@ -24,24 +26,40 @@ class TruncPoly:
         data: dict = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for key, coeff in items:
-            key = tuple(int(e) for e in key)
-            if len(key) != k:
-                raise ValueError(f"exponent vector {key} does not have length {k}")
-            _merge(data, key, _as_tpoly(coeff))
+            _merge(data, self._key(k, key), _as_tpoly(coeff))
         self.terms = data
 
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
-        return isinstance(other, TruncPoly) and self.k == other.k and self.terms == other.terms
+        return isinstance(other, type(self)) and self.k == other.k and self.terms == other.terms
 
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
         for key, coeff in other.terms.items():
             _merge(out, key, coeff)
-        return TruncPoly(self.k, out)
+        return type(self)(self.k, out)
+
+    def _check(self, other):
+        if not isinstance(other, type(self)) or other.k != self.k:
+            raise ValueError(f"operands use different {self._operands}")
+
+
+class TruncPoly(_KeyedPoly):
+    """A polynomial in x_1..x_k with TPoly coefficients, stored as a map
+    from exponent vectors of length k."""
+
+    __slots__ = ()
+    _operands = "variable counts"
+
+    @staticmethod
+    def _key(k, key):
+        key = tuple(int(e) for e in key)
+        if len(key) != k:
+            raise ValueError(f"exponent vector {key} does not have length {k}")
+        return key
 
     def __mul__(self, other):
         self._check(other)
@@ -51,10 +69,6 @@ class TruncPoly:
                 _merge(out, tuple(x + y for x, y in zip(a, b)), ca * cb)
         return TruncPoly(self.k, out)
 
-    def _check(self, other):
-        if not isinstance(other, TruncPoly) or other.k != self.k:
-            raise ValueError("operands use different variable counts")
-
     def items_sorted(self):
         return sorted(self.terms.items())
 
@@ -62,34 +76,18 @@ class TruncPoly:
         return f"TruncPoly(k={self.k}, {len(self.terms)} monomials)"
 
 
-class WordPoly:
+class WordPoly(_KeyedPoly):
     """A polynomial in noncommuting letters 1..k: a map from words."""
 
-    __slots__ = ("k", "terms")
+    __slots__ = ()
+    _operands = "alphabets"
 
-    def __init__(self, k: int, terms=()):
-        self.k = k
-        data: dict = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for key, coeff in items:
-            key = tuple(int(x) for x in key)
-            if any(not 1 <= x <= k for x in key):
-                raise ValueError(f"letter out of range in word {key}")
-            _merge(data, key, _as_tpoly(coeff))
-        self.terms = data
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, WordPoly) and self.k == other.k and self.terms == other.terms
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            _merge(out, key, coeff)
-        return WordPoly(self.k, out)
+    @staticmethod
+    def _key(k, key):
+        key = tuple(int(x) for x in key)
+        if any(not 1 <= x <= k for x in key):
+            raise ValueError(f"letter out of range in word {key}")
+        return key
 
     def __mul__(self, other):
         """Concatenation product."""
@@ -99,10 +97,6 @@ class WordPoly:
             for b, cb in other.terms.items():
                 _merge(out, a + b, ca * cb)
         return WordPoly(self.k, out)
-
-    def _check(self, other):
-        if not isinstance(other, WordPoly) or other.k != self.k:
-            raise ValueError("operands use different alphabets")
 
     def items_sorted(self):
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))

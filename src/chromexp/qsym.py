@@ -23,10 +23,11 @@ from .combinat import (
     partitions,
     quasi_shuffle,
     r_compositions,
+    refinements,
     sort_to_partition,
 )
 from .linalg import solve_combination
-from .tpoly import TPoly, tpoly_from_json, tpoly_to_json
+from .tpoly import ONE, TPoly, tpoly_from_json, tpoly_to_json
 
 
 def _merge(terms: dict, key, coeff):
@@ -118,6 +119,25 @@ class TermMap:
 
     def items_sorted(self):
         return sorted(self.terms.items(), key=lambda kv: self._sort_key(kv[0]))
+
+    def peel(self, element, finer: bool) -> dict:
+        """Coordinates over a unitriangular basis, by triangular peeling.
+
+        element(key) is the basis element at key: its own monomial with
+        coefficient 1 plus terms with strictly more parts (finer) or
+        strictly fewer parts (not finer). Peeling the support one part
+        count at a time, fewest parts first when finer and most first
+        otherwise, reads off each coefficient as it stands.
+        """
+        remaining = dict(self.terms)
+        out: dict = {}
+        while remaining:
+            size = (min if finer else max)(map(len, remaining))
+            for key in sorted((k for k in remaining if len(k) == size), key=self._sort_key):
+                out[key] = coeff = remaining[key]
+                for member, c in element(key).terms.items():
+                    _merge(remaining, member, -(coeff * c))
+        return out
 
     def pretty(self) -> str:
         if not self.terms:
@@ -253,14 +273,12 @@ def basis_M(alpha) -> QSymExpr:
 
 
 def basis_F(alpha) -> QSymExpr:
-    """Fundamental basis element, expanded by the digraph engine.
+    """Fundamental element: the sum of M over refinements.
 
-    The defining digraph is the solid chain of double paths over the
-    parts; its chromatic expansion at t = 1 is the expansion used here.
+    Its defining digraph is the solid chain of double paths over the
+    parts; the table suite checks the two agree.
     """
-    from .chromatic import expand
-
-    return expand(graph.qsym_basis_digraph("F", alpha)).at_t(1)
+    return QSymExpr._of({beta: ONE for beta in refinements(composition(alpha))})
 
 
 def basis_Fbar(alpha) -> QSymExpr:
@@ -401,25 +419,18 @@ def _fraction_or_int(value):
 
 
 def to_qsym_basis(f: QSymExpr, kind: str) -> dict[tuple[int, ...], TPoly]:
-    """Expand f over the F or Fbar basis (M returns the term map itself)."""
+    """Expand f over the F or Fbar basis (M returns the term map itself).
+
+    F elements add strictly finer terms and Fbar elements strictly
+    coarser ones, so both are read off by triangular peeling.
+    """
     if kind == "M":
         return dict(f.terms)
-    if kind not in ("F", "Fbar"):
-        raise ValueError(f"unknown quasisymmetric basis kind {kind!r}")
-    maker = basis_F if kind == "F" else basis_Fbar
-    out: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for n in f.degrees():
-        component = f.homogeneous_component(n)
-        alphas = list(compositions(n))
-        columns = [{k: c.evaluate(1) for k, c in maker(a).terms.items()} for a in alphas]
-        for power, coords in _t_slices(component.terms).items():
-            solution = solve_combination(columns, coords)
-            if solution is None:
-                raise ValueError(f"no {kind} expansion found in degree {n}")
-            for alpha, value in zip(alphas, solution):
-                if value:
-                    out.setdefault(alpha, {})[power] = value
-    return {a: _tpoly_from_slices(powers) for a, powers in out.items()}
+    if kind == "F":
+        return f.peel(basis_F, finer=True)
+    if kind == "Fbar":
+        return f.peel(basis_Fbar, finer=False)
+    raise ValueError(f"unknown quasisymmetric basis kind {kind!r}")
 
 
 def in_qsym_r(f: QSymExpr, r) -> bool:

@@ -207,6 +207,24 @@ def test_malformed_digraph_json_exits_three(tmp_path, capsys, raw):
     assert line.startswith("error: ")
 
 
+@pytest.mark.parametrize("raw", [
+    '{"n": null}',
+    '[1, 2]',
+    '{"n": "3"}',
+    '{"n": 2, "edges": [[0]]}',
+    '{"n": 2, "edges": [[0, 1.5]]}',
+], ids=["n-null", "top-level-array", "n-string", "edge-short", "vertex-float"])
+def test_malformed_balanced_graph_exits_three(tmp_path, capsys, raw):
+    path = tmp_path / "h.json"
+    path.write_text(raw)
+    code = main(["balanced", "--graph", str(path), "--k", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    assert line.startswith("error: ")
+
+
 HOPF_IDENTITIES = {"product", "nc-product", "coproduct", "nc-coproduct", "coassociativity",
                    "counit", "bialgebra", "nc-coassociativity", "nc-bialgebra",
                    "rho-algebra-map"}
