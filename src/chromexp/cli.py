@@ -12,6 +12,7 @@ validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -35,7 +36,61 @@ from .tpoly import tpoly_to_json
 
 
 def _emit(data) -> None:
-    sys.stdout.write(json.dumps(data, indent=2, sort_keys=False) + "\n")
+    sys.stdout.write(_dumps(data) + "\n")
+
+
+def _dumps(data) -> str:
+    """The text of json.dumps(data, indent=2), byte for byte.
+
+    With an indent, json encodes in pure Python, one generator per
+    container. This writer renders each list of ints once per call and
+    reuses the text: blocks and coefficient lists repeat across
+    thousands of terms. Dicts with str keys and nonempty lists recurse.
+    Other containers go to json.dumps with the indent, re-indented to
+    their depth (JSON text has no raw newline inside a string), and
+    scalars to json.dumps without it, which gives the same text.
+    """
+    chunks = []
+    append = chunks.append
+    int_lists = {}
+    keys = {}
+
+    def write(value, pad):  # pad: a newline and the indent of value's line
+        kind = type(value)
+        if kind is dict and value and set(map(type, value)) == {str}:
+            inner = pad + "  "
+            sep = "{" + inner
+            for key, item in value.items():
+                name = keys.get(key)
+                if name is None:
+                    name = keys[key] = json.dumps(key) + ": "
+                append(sep + name)
+                write(item, inner)
+                sep = "," + inner
+            append(pad + "}")
+        elif (kind is list or kind is tuple) and value:
+            inner = pad + "  "
+            if set(map(type, value)) == {int}:
+                memo = (pad, tuple(value))
+                text = int_lists.get(memo)
+                if text is None:
+                    text = int_lists[memo] = (
+                        "[" + inner + ("," + inner).join(map(str, value)) + pad + "]")
+                append(text)
+                return
+            sep = "[" + inner
+            for item in value:
+                append(sep)
+                write(item, inner)
+                sep = "," + inner
+            append(pad + "]")
+        elif isinstance(value, (dict, list, tuple)):
+            append(json.dumps(value, indent=2).replace("\n", pad))
+        else:
+            append(json.dumps(value))
+
+    write(data, "\n")
+    return "".join(chunks)
 
 
 def _read_graph(args):
@@ -424,9 +479,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call to main, not at import, and reused after it:
+# parse_args starts each call from a fresh namespace.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as err:

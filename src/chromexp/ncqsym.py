@@ -31,7 +31,7 @@ from .combinat import (
 )
 from .graph import LabelledDigraph, contract, closed_subsets, induced_labelled, relabel, standardize_labels
 from .qsym import QSymExpr, TermMap, _merge
-from .tpoly import TPoly, tpoly_from_json, tpoly_to_json
+from .tpoly import ONE, TPoly, tpoly_from_json, tpoly_to_json
 
 
 def _check_key(phi):
@@ -210,6 +210,14 @@ def basis_nc(kind: str, phi) -> NCQSymExpr:
     if kind == "Fbar":
         return NCQSymExpr({psi: 1 for psi in corruptions(phi)})
     raise ValueError(f"unknown noncommutative basis kind {kind!r}")
+
+
+def _basis_nc_canonical(kind: str, phi) -> NCQSymExpr:
+    """basis_nc(kind, phi) for kind F or Fbar at a canonical key. The
+    keys that adding or removing bars makes from it are canonical too,
+    so the element is built with the trusted constructor."""
+    members = reformations(phi) if kind == "F" else corruptions(phi)
+    return NCQSymExpr._of(dict.fromkeys(members, ONE))
 
 
 def ncsym_m_expr(pi) -> NCQSymExpr:
@@ -401,7 +409,7 @@ def to_ncqsym_basis(f: NCQSymExpr, kind: str) -> dict[tuple, TPoly]:
         return dict(f.terms)
     if kind not in ("F", "Fbar"):
         raise ValueError(f"unknown noncommutative basis kind {kind!r}")
-    return f.peel(lambda psi: basis_nc(kind, psi), finer=kind == "F")
+    return f.peel(lambda psi: _basis_nc_canonical(kind, psi), finer=kind == "F")
 
 
 def to_ncsym_m(f: NCQSymExpr) -> dict[tuple, TPoly]:

@@ -246,3 +246,29 @@ def test_verify_stats_leave_stdout_unchanged(capsys):
         assert sum(entry["checks"] for entry in stats.values()) \
             == json.loads(plain.out)["checks"]
         assert all(entry["seconds"] >= 0 for entry in stats.values())
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_reused_parser_carries_nothing_between_calls(capsys):
+    from chromexp import cli
+
+    calls = (["expand", "--bogus"],
+             ["expand", "--dsl", "W(C(2),C(1))"],
+             ["expand", "--dsl", "C(0)"],
+             ["product", "--dsl", "C(1)", "--dsl", "C(2)"],
+             ["expand", "--dsl", "S(C(1),C(1))"])
+    first = []
+    for argv in calls:  # each as the first call of a process: a new parser
+        cli._parser.cache_clear()
+        first.append(_outcome(capsys, argv))
+    assert [code for code, _ in first] == [2, 0, 3, 0, 0]
+    parser = cli._parser()
+    assert [_outcome(capsys, argv) for argv in calls] == first
+    assert cli._parser() is parser

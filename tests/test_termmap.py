@@ -4,8 +4,9 @@ Every algebra operation builds its result with `TermMap._of`, which does
 not look at the keys. Each result must equal what the validating public
 constructor builds from the same terms, and hold no zero coefficient:
 then every key a trusted path made would have passed the public check.
-The lean combinatorial cores behind those operations are checked against
-the validating functions they replace.
+The lean combinatorial cores behind those operations, and the basis
+elements the nc basis peel builds, are checked against the validating
+functions they replace.
 """
 
 import random
@@ -15,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from chromexp import combinat
 from chromexp.chromatic import expand
 from chromexp.graph import labelled
-from chromexp.ncqsym import coproduct_nc, expand_nc, rho, tensor_nc
+from chromexp.ncqsym import (
+    _basis_nc_canonical, basis_nc, coproduct_nc, expand_nc, rho, tensor_nc)
 from chromexp.qsym import coproduct, tensor
 from chromexp.tpoly import TPoly
 from chromexp.verify import random_digraph, random_labelled_digraph
@@ -90,3 +92,12 @@ def test_lean_shifted_quasi_shuffle_is_canonical_and_repeat_free(phi, psi):
     assert len(out) == len(set(out))
     assert all(combinat.set_composition(gamma) == gamma for gamma in out)
     assert set(out) == combinat.shifted_quasi_shuffle(phi, psi)
+
+
+def test_peeled_nc_basis_elements_equal_the_validated_ones():
+    for n in range(6):
+        for psi in combinat.set_compositions(n):
+            for kind in ("F", "Fbar"):
+                trusted = _basis_nc_canonical(kind, psi)
+                assert trusted == basis_nc(kind, psi)
+                assert_canonical(trusted)
