@@ -9,6 +9,7 @@ against the independent combinatorial definition.
 from chromexp import expand, grid
 from chromexp.graph import qsym_basis_digraph, sym_basis_digraph
 from chromexp.qsym import basis_F, basis_Fbar, basis_M, basis_sym
+from chromexp.tpoly import pretty
 
 lam = (2, 1)
 print(f"partition {lam}:")
@@ -36,4 +37,4 @@ print()
 # along rows, strict down columns, i.e. semistandard tableaux.
 print("schur s_(2,1) from the grid:", expand(grid((2, 1))).at_t(1).pretty())
 print("tableau count of content (1,1,1):",
-      basis_sym("s", (2, 1)).coefficient((1, 1, 1)).pretty())
+      pretty(basis_sym("s", (2, 1)).coefficient((1, 1, 1))))

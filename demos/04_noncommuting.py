@@ -20,6 +20,7 @@ from chromexp.ncqsym import (
     to_ncsym_m,
 )
 from chromexp.qsym import basis_sym
+from chromexp.tpoly import pretty
 
 lg = labelled(make(2, [(0, 1, "lt")]), (2, 1))
 print("Y(path labelled 2,1):", expand_nc(lg).pretty())
@@ -36,7 +37,7 @@ h = basis_ncsym("h", pi)
 print("h_13/24 in monomial coordinates:")
 for block_partition, coeff in sorted(to_ncsym_m(h).items()):
     blocks = "/".join("".join(str(x) for x in b) for b in block_partition)
-    print(f"  {coeff.pretty():>2} * m_{blocks}")
+    print(f"  {pretty(coeff):>2} * m_{blocks}")
 print()
 
 s = basis_ncsym("S", pi)

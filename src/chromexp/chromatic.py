@@ -141,7 +141,7 @@ def expand(g: EdgeColouredDigraph, stats: dict | None = None) -> QSymExpr:
         while packed:
             coeffs.append(packed & digit)
             packed >>= width
-        terms[comp] = TPoly(coeffs)
+        terms[comp] = TPoly._new(tuple(coeffs))  # the top digit is nonzero
     out = QSymExpr._of(terms)
     if stats is not None:
         dp.record(stats, len(out.terms), start)
@@ -275,7 +275,7 @@ def humpert_direct(h: SimpleGraph, k: int) -> QSymExpr:
         orientation = colouring_orientation(h, levels)
         if is_k_balanced(orientation, k):
             key = composition(alpha)
-            terms[key] = terms.get(key, TPoly()) + TPoly.of(1)
+            terms[key] = terms.get(key, 0) + 1
 
     def walk(v: int):
         if v == h.n:

@@ -105,6 +105,13 @@ def _read_graph(args):
     return inputs
 
 
+def _read_one_graph(args):
+    inputs = _read_graph(args)
+    if len(inputs) != 1:
+        raise ValueError(f"{args.command} takes exactly one input, got {len(inputs)}")
+    return inputs[0]
+
+
 def _as_labelled(g) -> gr.LabelledDigraph:
     if isinstance(g, gr.LabelledDigraph):
         return g
@@ -164,7 +171,7 @@ def _report_stats(stats) -> None:
 # subcommand handlers
 
 def _cmd_expand(args) -> int:
-    (g,) = _read_graph(args)
+    g = _read_one_graph(args)
     stats = {} if args.stats else None
     if args.nc:
         f = ncqsym.expand_nc(_as_labelled(g), stats)
@@ -215,7 +222,7 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    (g,) = _read_graph(args)
+    g = _read_one_graph(args)
     f = chromatic.expand(_as_plain(g)).at_t(1)
     poly = qsym.chromatic_polynomial(f)
     if args.eval is not None:
@@ -233,7 +240,7 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_combine(args) -> int:
-    (g,) = _read_graph(args)
+    g = _read_one_graph(args)
     if args.pretty:
         print(repr(g))
     else:
@@ -242,7 +249,7 @@ def _cmd_combine(args) -> int:
 
 
 def _cmd_coproduct(args) -> int:
-    (g,) = _read_graph(args)
+    g = _read_one_graph(args)
     if args.nc:
         f = ncqsym.expand_nc(_as_labelled(g))
         f = f if args.t else f.at_t(1)
@@ -336,6 +343,8 @@ def _bases_ncqsym(n, kind):
 
 def _cmd_bases(args) -> int:
     n, r, kind = args.n, args.r, args.kind
+    if n < 0:
+        raise ValueError(f"--n must be nonnegative, got {n}")
     elements = []
     if args.space == "qsym":
         for index, f in _bases_qsym(n, kind):

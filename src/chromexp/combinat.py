@@ -346,16 +346,29 @@ def corrupts(psi, phi) -> bool:
 
 def corruptions(phi) -> set[tuple[tuple[int, ...], ...]]:
     """All set compositions obtained from phi by removing bars."""
-    phi = set_composition(phi)
+    return set(_corruptions(set_composition(phi)))
+
+
+def _corruptions(phi) -> list:
+    """corruptions of a canonical phi, unchecked and without repeats.
+
+    Each run of adjacent blocks is merged and sorted once, however many
+    results share it. Distinct cut sequences give distinct results.
+    """
     k = len(phi)
-    out = set()
+    runs = {}
+    for i in range(k):
+        run = ()
+        for j in range(i, k):
+            run = runs[i, j + 1] = tuple(sorted(run + phi[j]))
+    out = []
     for cuts in _cut_choices(k):
         merged = []
         start = 0
         for end in cuts:
-            merged.append(tuple(sorted(x for b in phi[start:end] for x in b)))
+            merged.append(runs[start, end])
             start = end
-        out.add(tuple(merged))
+        out.append(tuple(merged))
     return out
 
 

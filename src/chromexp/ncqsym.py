@@ -26,12 +26,13 @@ from .combinat import (
     shape,
     shape_partition,
     lambda_factorial,
+    _corruptions,
     _shifted_quasi_shuffle,
     _standardized_splits,
 )
 from .graph import LabelledDigraph, contract, closed_subsets, induced_labelled, relabel, standardize_labels
 from .qsym import QSymExpr, TermMap, _merge
-from .tpoly import ONE, TPoly, tpoly_from_json, tpoly_to_json
+from .tpoly import TPoly, tpoly_from_json, tpoly_to_json
 
 
 def _check_key(phi):
@@ -44,7 +45,7 @@ def _check_key(phi):
 
 class NCQSymExpr(TermMap):
     """A finite sum of monomial functions M_Phi over set compositions of
-    initial segments, with TPoly coefficients."""
+    initial segments, with exact coefficients."""
 
     __slots__ = ()
     _key = staticmethod(_check_key)
@@ -58,8 +59,8 @@ class NCQSymExpr(TermMap):
     def one(cls) -> "NCQSymExpr":
         return cls({(): 1})
 
-    def coefficient(self, phi) -> TPoly:
-        return self.terms.get(set_composition(phi), TPoly())
+    def coefficient(self, phi):
+        return self.terms.get(set_composition(phi), 0)
 
     def __mul__(self, other):
         """Product via the shifted quasi-shuffle of term indices."""
@@ -216,8 +217,8 @@ def _basis_nc_canonical(kind: str, phi) -> NCQSymExpr:
     """basis_nc(kind, phi) for kind F or Fbar at a canonical key. The
     keys that adding or removing bars makes from it are canonical too,
     so the element is built with the trusted constructor."""
-    members = reformations(phi) if kind == "F" else corruptions(phi)
-    return NCQSymExpr._of(dict.fromkeys(members, ONE))
+    members = reformations(phi) if kind == "F" else _corruptions(phi)
+    return NCQSymExpr._of(dict.fromkeys(members, 1))
 
 
 def ncsym_m_expr(pi) -> NCQSymExpr:
@@ -346,7 +347,7 @@ def basis_ncr(kind: str, phi, pi, r) -> NCQSymExpr:
     raise ValueError(f"unknown r-basis kind {kind!r}")
 
 
-def r_regroup(f: NCQSymExpr, r) -> dict[RSetComposition, TPoly]:
+def r_regroup(f: NCQSymExpr, r) -> dict:
     """Collect an expression into r-level coordinates.
 
     Every term index is split at r; the coefficient must be constant
@@ -354,14 +355,14 @@ def r_regroup(f: NCQSymExpr, r) -> dict[RSetComposition, TPoly]:
     count as zero), else RegroupError reports the offending fiber.
     """
     remaining = dict(f.terms)
-    out: dict[RSetComposition, TPoly] = {}
+    out: dict = {}
     while remaining:
         psi = min(remaining, key=set_composition_sort_key)
         phi, pi = r_split(psi, r)
         coeff = remaining[psi]
         fiber = bar_shuffle(phi, pi)
-        bad = {member: remaining.get(member, TPoly()) for member in fiber
-               if remaining.get(member, TPoly()) != coeff}
+        bad = {member: remaining.get(member, 0) for member in fiber
+               if remaining.get(member, 0) != coeff}
         if bad:
             raise RegroupError((phi, pi), bad)
         for member in fiber:
@@ -380,8 +381,8 @@ def r_regroup_tensor(t: NCQSymTensor, r) -> dict:
         s1, s2 = r_split(psi1, r), r_split(psi2, r)
         coeff = remaining[(psi1, psi2)]
         fiber = [(m1, m2) for m1 in bar_shuffle(*s1) for m2 in bar_shuffle(*s2)]
-        bad = {member: remaining.get(member, TPoly()) for member in fiber
-               if remaining.get(member, TPoly()) != coeff}
+        bad = {member: remaining.get(member, 0) for member in fiber
+               if remaining.get(member, 0) != coeff}
         if bad:
             raise RegroupError((s1, s2), bad)
         for member in fiber:
@@ -401,7 +402,7 @@ def in_ncqsym_r(f: NCQSymExpr, r) -> bool:
 # ---------------------------------------------------------------------------
 # coordinates in other bases
 
-def to_ncqsym_basis(f: NCQSymExpr, kind: str) -> dict[tuple, TPoly]:
+def to_ncqsym_basis(f: NCQSymExpr, kind: str) -> dict:
     """Expand f over the F or Fbar basis by triangular peeling: F
     elements add strictly finer monomial terms, Fbar elements strictly
     coarser ones."""
@@ -412,20 +413,20 @@ def to_ncqsym_basis(f: NCQSymExpr, kind: str) -> dict[tuple, TPoly]:
     return f.peel(lambda psi: _basis_nc_canonical(kind, psi), finer=kind == "F")
 
 
-def to_ncsym_m(f: NCQSymExpr) -> dict[tuple, TPoly]:
+def to_ncsym_m(f: NCQSymExpr) -> dict:
     """Coordinates of f over the NCSym monomial basis.
 
     Requires the coefficients to be constant across every ordering of
     each underlying set partition; raises ValueError otherwise.
     """
     remaining = dict(f.terms)
-    out: dict[tuple, TPoly] = {}
+    out: dict = {}
     while remaining:
         phi = min(remaining, key=set_composition_sort_key)
         pi = set_partition(phi)
         coeff = remaining[phi]
         for order in itertools.permutations(pi):
-            if remaining.get(order, TPoly()) != coeff:
+            if remaining.get(order, 0) != coeff:
                 raise ValueError(
                     f"not symmetric in noncommuting variables at {pi}")
             remaining.pop(order, None)

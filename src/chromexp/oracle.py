@@ -9,8 +9,12 @@ import itertools
 from dataclasses import dataclass
 
 from .graph import EdgeColouredDigraph, LabelledDigraph, standardize_labels
-from .qsym import _merge, _as_tpoly
+from .qsym import _merge
 from .tpoly import TPoly
+
+
+def _as_tpoly(value) -> TPoly:
+    return value if isinstance(value, TPoly) else TPoly.of(value)
 
 
 class _KeyedPoly:

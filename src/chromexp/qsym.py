@@ -1,7 +1,8 @@
 """Quasisymmetric functions in monomial coordinates with exact
-t-polynomial coefficients: Hopf operations, the classical bases, the
-r-level bases, symmetry detection, basis conversion, and the counting
-polynomial obtained by restricting to p colours."""
+coefficients (scalars, or t-polynomials where t is kept): Hopf
+operations, the classical bases, the r-level bases, symmetry detection,
+basis conversion, and the counting polynomial obtained by restricting
+to p colours."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import combinat, graph
+from . import combinat, graph, tpoly
 from .combinat import (
     RComposition,
     coarsenings,
@@ -27,7 +28,7 @@ from .combinat import (
     sort_to_partition,
 )
 from .linalg import solve_combination
-from .tpoly import ONE, TPoly, tpoly_from_json, tpoly_to_json
+from .tpoly import TPoly, check_coefficient, tpoly_from_json, tpoly_to_json
 
 
 def _merge(terms: dict, key, coeff):
@@ -41,21 +42,19 @@ def _merge(terms: dict, key, coeff):
         del terms[key]
 
 
-def _as_tpoly(value) -> TPoly:
-    return value if isinstance(value, TPoly) else TPoly.of(value)
-
-
 class TermMap:
-    """A sparse map from term keys to nonzero TPoly coefficients, the
-    core of the expression and tensor classes. Each subclass supplies
-    `_key` (check and canonicalize one key), `_sort_key` (display order),
-    `_name` (a term's printed name) and its own `__mul__`.
+    """A sparse map from term keys to nonzero coefficients, the core of
+    the expression and tensor classes. A coefficient is an exact scalar
+    (an int that is not a bool, or a Fraction) or a TPoly; see the tpoly
+    module. Each subclass supplies `_key` (check and canonicalize one
+    key), `_sort_key` (display order), `_name` (a term's printed name)
+    and its own `__mul__`.
 
-    The public constructor validates and canonicalizes every key,
-    coerces the coefficients and merges repeats.
-    `_of` trusts its dict: canonical keys and nonzero TPoly
+    The public constructor validates and canonicalizes every key, checks
+    every coefficient (TypeError outside the exact domain) and merges
+    repeats. `_of` trusts its dict: canonical keys and nonzero exact
     coefficients, as every operation of the algebras produces them, so
-    results are built without checking their keys again.
+    results are built without checking them again.
     """
 
     __slots__ = ("terms",)
@@ -64,7 +63,7 @@ class TermMap:
         data: dict = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for key, coeff in items:
-            _merge(data, self._key(key), _as_tpoly(coeff))
+            _merge(data, self._key(key), check_coefficient(coeff))
         self.terms = data
 
     @classmethod
@@ -100,19 +99,19 @@ class TermMap:
         return self + (-other)
 
     def scale(self, factor):
-        factor = _as_tpoly(factor)
+        check_coefficient(factor)
         return self._of({k: p for k, c in self.terms.items() if (p := c * factor)})
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def at_t(self, t=1):
-        """Specialize the ascent variable."""
-        return self._of({k: p for k, c in self.terms.items()
-                         if (p := TPoly.of(c.evaluate(t)))})
+        """Specialize the ascent variable: every coefficient becomes a scalar."""
+        return self._of({k: v for k, c in self.terms.items()
+                         if (v := tpoly.evaluate(c, t))})
 
     def t_degree(self) -> int:
-        return max((c.degree() for c in self.terms.values()), default=-1)
+        return max(map(tpoly.degree, self.terms.values()), default=-1)
 
     def support(self):
         return set(self.terms)
@@ -123,8 +122,8 @@ class TermMap:
     def peel(self, element, finer: bool) -> dict:
         """Coordinates over a unitriangular basis, by triangular peeling.
 
-        element(key) is the basis element at key: its own monomial with
-        coefficient 1 plus terms with strictly more parts (finer) or
+        element(key) is the basis element at key, every coefficient 1:
+        its own monomial plus terms with strictly more parts (finer) or
         strictly fewer parts (not finer). Peeling the support one part
         count at a time, fewest parts first when finer and most first
         otherwise, reads off each coefficient as it stands.
@@ -135,8 +134,9 @@ class TermMap:
             size = (min if finer else max)(map(len, remaining))
             for key in sorted((k for k in remaining if len(k) == size), key=self._sort_key):
                 out[key] = coeff = remaining[key]
-                for member, c in element(key).terms.items():
-                    _merge(remaining, member, -(coeff * c))
+                neg = -coeff
+                for member in element(key).terms:
+                    _merge(remaining, member, neg)
         return out
 
     def pretty(self) -> str:
@@ -154,20 +154,20 @@ def _join_terms(bits) -> str:
     return out.replace("+ -", "- ")
 
 
-def _pretty_term(coeff: TPoly, name: str) -> str:
-    if coeff == TPoly.of(1):
+def _pretty_term(coeff, name: str) -> str:
+    if coeff == 1:
         return name
-    if coeff == TPoly.of(-1):
+    if coeff == -1:
         return f"-{name}"
-    text = coeff.pretty()
-    if coeff.is_constant():
+    text = tpoly.pretty(coeff)
+    if tpoly.degree(coeff) <= 0:
         return f"{text}*{name}"
     return f"({text})*{name}"
 
 
 class QSymExpr(TermMap):
     """A finite sum of monomial quasisymmetric functions M_alpha with
-    TPoly coefficients. Mixed degrees may coexist; the keys of each
+    exact coefficients. Mixed degrees may coexist; the keys of each
     homogeneous component all have the same size."""
 
     __slots__ = ()
@@ -182,8 +182,8 @@ class QSymExpr(TermMap):
     def one(cls) -> "QSymExpr":
         return cls({(): 1})
 
-    def coefficient(self, alpha) -> TPoly:
-        return self.terms.get(composition(alpha), TPoly())
+    def coefficient(self, alpha):
+        return self.terms.get(composition(alpha), 0)
 
     def __mul__(self, other):
         """Product via the overlapping shuffle on monomial indices."""
@@ -278,12 +278,12 @@ def basis_F(alpha) -> QSymExpr:
     Its defining digraph is the solid chain of double paths over the
     parts; the table suite checks the two agree.
     """
-    return QSymExpr._of({beta: ONE for beta in refinements(composition(alpha))})
+    return QSymExpr._of(dict.fromkeys(refinements(composition(alpha)), 1))
 
 
 def basis_Fbar(alpha) -> QSymExpr:
     """Upper-fundamental element: the sum of M over coarsenings."""
-    return QSymExpr({gamma: 1 for gamma in coarsenings(composition(alpha))})
+    return QSymExpr._of(dict.fromkeys(coarsenings(composition(alpha)), 1))
 
 
 def basis_sym(kind: str, lam) -> QSymExpr:
@@ -369,7 +369,7 @@ def _t_slices(terms) -> dict[int, dict]:
     """Split a term map into per-power-of-t rational coordinate dicts."""
     slices: dict[int, dict] = {}
     for key, coeff in terms.items():
-        for power, c in enumerate(coeff.coeffs):
+        for power, c in enumerate(tpoly.coefficients(coeff)):
             if c:
                 slices.setdefault(power, {})[key] = Fraction(c)
     return slices
@@ -379,7 +379,7 @@ def is_symmetric(f: QSymExpr) -> bool:
     """Whether the M coefficients are constant on rearrangement classes."""
     for alpha, coeff in f.terms.items():
         for other in distinct_rearrangements(sort_to_partition(alpha)):
-            if f.terms.get(other, TPoly()) != coeff:
+            if f.terms.get(other, 0) != coeff:
                 return False
     return True
 
@@ -397,7 +397,7 @@ def to_sym_basis(f: QSymExpr, kind: str) -> dict[tuple[int, ...], TPoly]:
         component = f.homogeneous_component(n)
         lams = list(partitions(n))
         columns = [dict(basis_sym(kind, lam).terms) for lam in lams]
-        columns = [{k: c.evaluate(1) for k, c in col.items()} for col in columns]
+        columns = [{k: tpoly.evaluate(c, 1) for k, c in col.items()} for col in columns]
         for power, coords in _t_slices(component.terms).items():
             solution = solve_combination(columns, coords)
             if solution is None:
@@ -418,7 +418,7 @@ def _fraction_or_int(value):
     return int(value) if value.denominator == 1 else value
 
 
-def to_qsym_basis(f: QSymExpr, kind: str) -> dict[tuple[int, ...], TPoly]:
+def to_qsym_basis(f: QSymExpr, kind: str) -> dict:
     """Expand f over the F or Fbar basis (M returns the term map itself).
 
     F elements add strictly finer terms and Fbar elements strictly
@@ -440,7 +440,7 @@ def in_qsym_r(f: QSymExpr, r) -> bool:
     for n in f.degrees():
         component = f.homogeneous_component(n)
         columns = [
-            {k: c.evaluate(1) for k, c in basis_r("M", rc.beta, rc.mu, r).terms.items()}
+            {k: tpoly.evaluate(c, 1) for k, c in basis_r("M", rc.beta, rc.mu, r).terms.items()}
             for rc in r_compositions(n, r)
         ]
         for _, coords in _t_slices(component.terms).items():
@@ -516,7 +516,7 @@ def evaluate_ones(f: QSymExpr, p: int) -> int:
         raise ValueError("specialize t first (at_t)")
     total = 0
     for alpha, coeff in f.terms.items():
-        total += coeff.evaluate(1) * math.comb(p, len(alpha))
+        total += tpoly.evaluate(coeff, 1) * math.comb(p, len(alpha))
     return total
 
 
@@ -526,7 +526,7 @@ def chromatic_polynomial(f: QSymExpr) -> RationalPoly:
         raise ValueError("specialize t first (at_t)")
     out = _rational_poly([])
     for alpha, coeff in f.terms.items():
-        out = out + _binomial_poly(len(alpha)).scale(Fraction(coeff.evaluate(1)))
+        out = out + _binomial_poly(len(alpha)).scale(Fraction(tpoly.evaluate(coeff, 1)))
     return out
 
 
@@ -575,7 +575,7 @@ def family_basis(n: int, family):
         g = graph.combine_chain("solid", [member(p) for p in alpha])
         f = expand(g).at_t(1)
         elements[alpha] = f
-        if f.coefficient(alpha) != TPoly.of(1):
+        if f.coefficient(alpha) != 1:
             failures.append((alpha, "leading coefficient is not 1"))
         for beta in f.support():
             if beta != alpha and not (combinat.descent_set(alpha) < combinat.descent_set(beta)):

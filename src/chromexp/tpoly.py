@@ -1,8 +1,15 @@
-"""Exact univariate polynomials in the ascent-counting variable t.
+"""Exact univariate polynomials in the ascent-counting variable t, and
+the coefficients of term maps.
 
 Coefficients are Python ints or fractions.Fraction, so every ring
 operation is exact. Instances are immutable and hashable, which lets
 them serve as coefficient values inside term maps.
+
+A term-map coefficient is a nonzero exact scalar (an int that is not a
+bool, or a Fraction) once t is specialized, and a nonzero TPoly where
+the t-grading survives. The module functions `evaluate`, `degree`,
+`coefficients`, `pretty` and `tpoly_to_json` accept either form and
+treat a scalar c as the constant polynomial c.
 """
 
 from __future__ import annotations
@@ -22,6 +29,13 @@ class TPoly:
         self.coeffs = tuple(cs)
 
     @classmethod
+    def _new(cls, coeffs: tuple) -> "TPoly":
+        """Trusted constructor: coeffs is a tuple with no trailing zero."""
+        out = object.__new__(cls)
+        out.coeffs = coeffs
+        return out
+
+    @classmethod
     def of(cls, c) -> "TPoly":
         return cls((c,))
 
@@ -36,11 +50,12 @@ class TPoly:
         if isinstance(other, TPoly):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == TPoly.of(other).coeffs
+            return len(self.coeffs) <= 1 and self[0] == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # a constant hashes as its scalar, which it equals
+        return hash(self[0]) if len(self.coeffs) <= 1 else hash(self.coeffs)
 
     def __getitem__(self, k: int):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
@@ -53,16 +68,26 @@ class TPoly:
         return len(self.coeffs) <= 1
 
     def __add__(self, other) -> "TPoly":
-        other = _coerce(other)
-        if other is None:
+        if isinstance(other, TPoly):
+            a, b = self.coeffs, other.coeffs
+            if len(a) < len(b):
+                a, b = b, a
+            out = list(a)
+            for k, c in enumerate(b):
+                out[k] += c
+        elif isinstance(other, (int, Fraction)):
+            out = list(self.coeffs) or [0]
+            out[0] += other
+        else:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return TPoly(self[k] + other[k] for k in range(n))
+        while out and out[-1] == 0:
+            out.pop()
+        return TPoly._new(tuple(out))
 
     __radd__ = __add__
 
     def __neg__(self) -> "TPoly":
-        return TPoly(-c for c in self.coeffs)
+        return TPoly._new(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other) -> "TPoly":
         other = _coerce(other)
@@ -77,6 +102,10 @@ class TPoly:
         return other + (-self)
 
     def __mul__(self, other) -> "TPoly":
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return ZERO
+            return TPoly._new(tuple(c * other for c in self.coeffs))
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -87,7 +116,7 @@ class TPoly:
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return TPoly(out)
+        return TPoly._new(tuple(out))  # leading coefficients multiply to nonzero
 
     __rmul__ = __mul__
 
@@ -126,7 +155,38 @@ class TPoly:
 
 
 ZERO = TPoly()
-ONE = TPoly((1,))
+
+
+def check_coefficient(value):
+    """value, when it is an exact coefficient: an int that is not a bool,
+    a Fraction or a TPoly. Anything else raises TypeError."""
+    if isinstance(value, (int, Fraction, TPoly)) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"not an exact coefficient: {value!r}")
+
+
+def coefficients(c) -> tuple:
+    """The coefficients of c from t^0 up, with no trailing zero."""
+    if isinstance(c, TPoly):
+        return c.coeffs
+    return (c,) if c else ()
+
+
+def evaluate(c, t=1):
+    """The value of c at the given t; a scalar is its own value."""
+    return c.evaluate(t) if isinstance(c, TPoly) else c
+
+
+def degree(c) -> int:
+    """Degree of c in t; -1 for zero."""
+    if isinstance(c, TPoly):
+        return c.degree()
+    return 0 if c else -1
+
+
+def pretty(c) -> str:
+    """Readable text of c; a scalar prints as the constant TPoly does."""
+    return c.pretty() if isinstance(c, TPoly) else str(c)
 
 
 def _coerce(value):
@@ -150,13 +210,14 @@ def coeff_from_json(value):
     if isinstance(value, str):
         num, _, den = value.partition("/")
         return Fraction(int(num), int(den or "1"))
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValueError(f"not an exact coefficient: {value!r}")
 
 
-def tpoly_to_json(p: TPoly) -> list:
-    return [coeff_to_json(c) for c in p.coeffs]
+def tpoly_to_json(c) -> list:
+    """A coefficient as its list of powers of t: [c] for a scalar c."""
+    return [coeff_to_json(x) for x in coefficients(c)]
 
 
 def tpoly_from_json(data) -> TPoly:

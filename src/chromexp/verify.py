@@ -42,6 +42,9 @@ from .ncqsym import (
     r_regroup_tensor,
     rho,
 )
+from .tpoly import evaluate
+
+
 @dataclass
 class VerifyResult:
     suite: str
@@ -412,7 +415,7 @@ def verify_tables(n: int = 5, sym_n: int = 4) -> VerifyResult:
             for a, b in itertools.combinations(values, 2):
                 if not check(a != b, table="ncsym", kind="S-distinct", index=m):
                     return result
-            vectors = [{k: Fraction(c.evaluate(1)) for k, c in s.terms.items()}
+            vectors = [{k: Fraction(evaluate(c, 1)) for k, c in s.terms.items()}
                        for s in values]
             if not check(exact_rank(vectors) == len(values),
                          table="ncsym", kind="S-span", index=m):
@@ -428,6 +431,9 @@ def verify_r_closure(n_qsym: int = 5, n_nc: int = 4, r: int = 2,
     """Rank checks for the four commutative r-bases and the two
     noncommutative ones, plus regrouping of sampled products and
     coproducts (the Hopf-closure argument)."""
+    if trials > 0 and n_nc < 1:
+        raise ValueError("closure trials need samples of degree 1 or more: "
+                         f"n_nc is {n_nc}")
     result = VerifyResult("r-closure")
     rng = random.Random(seed)
 
@@ -437,7 +443,7 @@ def verify_r_closure(n_qsym: int = 5, n_nc: int = 4, r: int = 2,
             vectors = []
             for rc in rcs:
                 f = qsym.basis_r(kind, rc.beta, rc.mu, r)
-                vectors.append({k: Fraction(c.evaluate(1)) for k, c in f.terms.items()})
+                vectors.append({k: Fraction(evaluate(c, 1)) for k, c in f.terms.items()})
                 result.checks += 1
                 if not qsym.in_qsym_r(f, r):
                     result.fail(part="qsym-span", kind=kind, degree=m,
@@ -456,7 +462,7 @@ def verify_r_closure(n_qsym: int = 5, n_nc: int = 4, r: int = 2,
             vectors = []
             for rsc in rscs:
                 f = basis_ncr(kind, rsc.phi, rsc.pi, r)
-                vectors.append({k: Fraction(c.evaluate(1)) for k, c in f.terms.items()})
+                vectors.append({k: Fraction(evaluate(c, 1)) for k, c in f.terms.items()})
             result.checks += 1
             if exact_rank(vectors) != len(rscs):
                 result.fail(part="ncqsym-rank", kind=kind, degree=m, expected=len(rscs))

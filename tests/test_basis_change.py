@@ -18,7 +18,7 @@ from chromexp.graph import qsym_basis_digraph
 from chromexp.linalg import solve_combination
 from chromexp.ncqsym import NCQSymExpr, basis_nc, expand_nc, to_ncqsym_basis
 from chromexp.qsym import QSymExpr, basis_F, basis_Fbar, to_qsym_basis
-from chromexp.tpoly import TPoly
+from chromexp.tpoly import TPoly, coefficients, evaluate
 from chromexp.verify import random_digraph, random_labelled_digraph
 
 T = TPoly.t_power(1)
@@ -36,10 +36,10 @@ def dense_to_qsym_basis(f, kind):
     out = {}
     for n in f.degrees():
         alphas = list(compositions(n))
-        columns = [{k: c.evaluate(1) for k, c in maker(a).terms.items()} for a in alphas]
+        columns = [{k: evaluate(c, 1) for k, c in maker(a).terms.items()} for a in alphas]
         slices = {}
         for key, coeff in f.homogeneous_component(n).terms.items():
-            for power, c in enumerate(coeff.coeffs):
+            for power, c in enumerate(coefficients(coeff)):
                 if c:
                     slices.setdefault(power, {})[key] = Fraction(c)
         for power, coords in slices.items():

@@ -272,3 +272,22 @@ def test_reused_parser_carries_nothing_between_calls(capsys):
     parser = cli._parser()
     assert [_outcome(capsys, argv) for argv in calls] == first
     assert cli._parser() is parser
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--suite", "r-closure", "--n", "1"), "closure trials need samples"),
+    (("bases", "--space", "qsym", "--kind", "M", "--n", "-1"), "--n must be nonnegative"),
+    (("expand", "--dsl", "C(1)", "--dsl", "C(2)"), "expand takes exactly one input, got 2"),
+], ids=["r-closure-without-samples", "bases-negative-n", "expand-two-inputs"])
+def test_inputs_that_used_to_escape_exit_three(capsys, argv, message):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line
+
+
+def test_degree_zero_bases_and_trial_free_closure_stay_valid(capsys):
+    assert main(["bases", "--space", "qsym", "--kind", "M", "--n", "0"]) == 0
+    assert main(["verify", "--suite", "r-closure", "--n", "1", "--trials", "0"]) == 0

@@ -10,6 +10,7 @@ functions they replace.
 """
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -26,9 +27,16 @@ T = TPoly.t_power(1)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
+def in_domain(c):
+    """A nonzero exact coefficient: int but not bool, Fraction, or TPoly."""
+    return (type(c) is int or isinstance(c, (Fraction, TPoly))) and bool(c)
+
+
 def assert_canonical(x):
     assert type(x)(x.terms) == x
-    assert all(isinstance(c, TPoly) and c for c in x.terms.values())
+    assert all(in_domain(c) for c in x.terms.values())
+    # specializing t leaves plain scalars only
+    assert all(in_domain(c) and not isinstance(c, TPoly) for c in x.at_t(1).terms.values())
 
 
 def ring_results(f, g):
@@ -101,3 +109,11 @@ def test_peeled_nc_basis_elements_equal_the_validated_ones():
                 trusted = _basis_nc_canonical(kind, psi)
                 assert trusted == basis_nc(kind, psi)
                 assert_canonical(trusted)
+
+
+def test_lean_corruptions_match_the_public_ones():
+    for n in range(6):
+        for phi in combinat.set_compositions(n):
+            lean = combinat._corruptions(phi)
+            assert len(lean) == len(set(lean))
+            assert set(lean) == combinat.corruptions(phi)
