@@ -109,34 +109,44 @@ def expand(g: EdgeColouredDigraph, stats: dict | None = None) -> QSymExpr:
     start = time.perf_counter() if stats is not None else 0.0
     con = contract(g)
     dp = LevelDP(con)
+    # compute the moves of every state reachable from the start
+    stack = [0] if con.feasible and dp.full else []
+    seen = {0, dp.full}
+    while stack:
+        placed = stack.pop()
+        for block, _, _ in dp.moves(placed):
+            reached = placed | block
+            if reached not in seen:
+                seen.add(reached)
+                stack.append(reached)
+    # a move places more classes, so states taken from the most placed
+    # down find the suffixes of every move already summed
+    states = sorted(dp.moves_of, key=int.bit_count, reverse=True)
     # t-polynomials with nonnegative coefficients, packed into one int:
     # t^k sits at bit k * width, and no coefficient overflows its digit
-    # because s classes have at most s^s < 2^width level colourings
-    s = len(con.classes)
-    width = s * s.bit_length() or 1
+    # because none exceeds the number of paths of moves from the start
+    paths = {dp.full: 1}
+    for placed in states:
+        paths[placed] = sum([paths[placed | block] for block, _, _ in dp.moves_of[placed]])
+    width = paths.get(0, 0).bit_length() or 1
     memo = {dp.full: {(): 1}}
-
-    def suffixes(placed: int) -> dict:
-        got = memo.get(placed)
-        if got is not None:
-            return got
+    for placed in states:
         # sum the suffixes under each first part before prepending it
         by_weight: dict = {}
-        for block, up, weight in dp.moves(placed):
+        for block, up, weight in dp.moves_of[placed]:
             shift = up * width
             acc = by_weight.get(weight)
             if acc is None:
                 acc = by_weight[weight] = {}
-            for comp, packed in suffixes(placed | block).items():
+            for comp, packed in memo[placed | block].items():
                 acc[comp] = acc.get(comp, 0) + (packed << shift)
-        out = memo[placed] = {(weight,) + comp: packed
-                              for weight, acc in by_weight.items()
-                              for comp, packed in acc.items()}
-        return out
+        memo[placed] = {(weight,) + comp: packed
+                        for weight, acc in by_weight.items()
+                        for comp, packed in acc.items()}
 
     digit = (1 << width) - 1
     terms = {}
-    for comp, packed in (suffixes(0) if con.feasible else {}).items():
+    for comp, packed in (memo[0] if con.feasible else {}).items():
         coeffs = []
         while packed:
             coeffs.append(packed & digit)
@@ -190,17 +200,20 @@ def split_dashed(g: EdgeColouredDigraph, edge):
     return g_lt, g_gt
 
 
-def coproduct_digraph(g: EdgeColouredDigraph) -> QSymTensor:
-    """Digraph-side coproduct at t = 1: the sum over subsets closed under
-    outgoing solid and double edges of (expansion off the subset) tensor
-    (expansion on the subset)."""
-    out = QSymTensor()
+def closed_subset_sum(g: EdgeColouredDigraph, part, tensor_of):
+    """Digraph-side coproduct at t = 1: the sum over the vertex subsets
+    closed under outgoing solid and double edges of tensor_of(expansion
+    off the subset, expansion on the subset), where part(vertices)
+    expands the part of the input induced on those vertices of g."""
     vertices = set(range(g.n))
-    for subset in closed_subsets(g):
-        left = expand(induced(g, vertices - set(subset))).at_t(1)
-        right = expand(induced(g, subset)).at_t(1)
-        out = out + tensor(left, right)
-    return out
+    first, *rest = (tensor_of(part(vertices - set(subset)).at_t(1), part(subset).at_t(1))
+                    for subset in closed_subsets(g))
+    return sum(rest, first)
+
+
+def coproduct_digraph(g: EdgeColouredDigraph) -> QSymTensor:
+    """Digraph-side coproduct at t = 1 (see closed_subset_sum)."""
+    return closed_subset_sum(g, lambda part: expand(induced(g, part)), tensor)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ import functools
 import json
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 from . import chromatic, combinat, graph as gr, ncqsym, qsym, verify
 from .combinat import (
@@ -31,7 +33,7 @@ from .combinat import (
     r_value_from_json,
 )
 from .ncqsym import NCQSymExpr
-from .qsym import QSymExpr
+from .qsym import QSymExpr, _join_terms, _pretty_term
 from .tpoly import tpoly_to_json
 
 
@@ -93,13 +95,25 @@ def _dumps(data) -> str:
     return "".join(chunks)
 
 
+def _read_json(path: str):
+    """The JSON value in the file at path ('-' reads stdin)."""
+    if path == "-":
+        raw = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read()
+    try:
+        return json.loads(raw)
+    except RecursionError:  # the decoder's own nesting limit
+        raise ValueError(f"JSON input nested too deeply: {path}") from None
+
+
 def _read_graph(args):
     inputs = []
     for text in args.dsl or []:
         inputs.append(gr.parse_dsl(text))
     for path in args.json or []:
-        raw = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-        inputs.append(gr.digraph_from_json(json.loads(raw)))
+        inputs.append(gr.digraph_from_json(_read_json(path)))
     if not inputs:
         raise ValueError("no input digraph: pass --dsl or --json")
     return inputs
@@ -110,16 +124,6 @@ def _read_one_graph(args):
     if len(inputs) != 1:
         raise ValueError(f"{args.command} takes exactly one input, got {len(inputs)}")
     return inputs[0]
-
-
-def _as_labelled(g) -> gr.LabelledDigraph:
-    if isinstance(g, gr.LabelledDigraph):
-        return g
-    return gr.labelled(g)
-
-
-def _as_plain(g) -> gr.EdgeColouredDigraph:
-    return g.graph if isinstance(g, gr.LabelledDigraph) else g
 
 
 def _graph_args(sub):
@@ -133,33 +137,11 @@ def _common_flags(sub):
     sub.add_argument("--pretty", action="store_true", help="readable text output")
 
 
-def _print_qsym(f: QSymExpr, pretty: bool):
+def _print(value, to_json, pretty: bool):
     if pretty:
-        print(f.pretty())
+        print(value.pretty())
     else:
-        _emit(qsym.qsym_to_json(f))
-
-
-def _print_ncqsym(f: NCQSymExpr, pretty: bool):
-    if pretty:
-        print(f.pretty())
-    else:
-        _emit(ncqsym.ncqsym_to_json(f))
-
-
-def _coords_json(coords: dict, index_to_json, basis: str) -> dict:
-    items = sorted(coords.items())
-    return {"basis": basis,
-            "terms": [{"index": index_to_json(k), "coeff_t": tpoly_to_json(c)}
-                      for k, c in items]}
-
-
-def _coords_pretty(coords: dict, fmt, prefix: str) -> str:
-    if not coords:
-        return "0"
-    from .qsym import _join_terms, _pretty_term
-    return _join_terms(_pretty_term(c, prefix + fmt(k))
-                       for k, c in sorted(coords.items()))
+        _emit(to_json(value))
 
 
 def _report_stats(stats) -> None:
@@ -167,63 +149,86 @@ def _report_stats(stats) -> None:
         print(json.dumps(stats), file=sys.stderr)
 
 
+_BASIS_PREFIX = {"F": "F", "Fbar": "Fb"}
+
+
+def _qsym_coordinates(f: QSymExpr, basis: str):
+    if basis in _BASIS_PREFIX:
+        return qsym.to_qsym_basis(f, basis), _BASIS_PREFIX[basis], format_composition
+    if basis.startswith("sym:"):
+        kind = basis.split(":", 1)[1]
+        return qsym.to_sym_basis(f, kind), kind, format_composition
+    raise ValueError(f"unknown --basis value {basis!r}")
+
+
+def _ncqsym_coordinates(f: NCQSymExpr, basis: str):
+    if basis in _BASIS_PREFIX:
+        return ncqsym.to_ncqsym_basis(f, basis), _BASIS_PREFIX[basis], format_set_composition
+    if basis == "m":
+        return ncqsym.to_ncsym_m(f), "m", format_set_partition
+    raise ValueError(f"--basis {basis} is not available with --nc")
+
+
+@dataclass(frozen=True)
+class _Algebra:
+    """What the commands read for one algebra. Each entry looks up the
+    package function it calls when it is called, so a function rebound
+    on its module (by a profiler, say) is the one that runs."""
+
+    expand: Callable       # (input digraph, stats or None) -> expansion
+    to_json: Callable
+    coproduct: Callable
+    tensor_to_json: Callable
+    coordinates: Callable  # (expansion, --basis) -> coordinates, prefix, index format
+
+
+# --nc selects the row
+_ALGEBRAS = {
+    False: _Algebra(
+        expand=lambda g, stats: chromatic.expand(
+            g.graph if isinstance(g, gr.LabelledDigraph) else g, stats),
+        to_json=lambda f: qsym.qsym_to_json(f),
+        coproduct=lambda f: qsym.coproduct(f),
+        tensor_to_json=lambda t: qsym.qsym_tensor_to_json(t),
+        coordinates=_qsym_coordinates),
+    True: _Algebra(
+        expand=lambda g, stats: ncqsym.expand_nc(
+            g if isinstance(g, gr.LabelledDigraph) else gr.labelled(g), stats),
+        to_json=lambda f: ncqsym.ncqsym_to_json(f),
+        coproduct=lambda f: ncqsym.coproduct_nc(f),
+        tensor_to_json=lambda t: ncqsym.ncqsym_tensor_to_json(t),
+        coordinates=_ncqsym_coordinates),
+}
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 def _cmd_expand(args) -> int:
     g = _read_one_graph(args)
+    algebra = _ALGEBRAS[args.nc]
     stats = {} if args.stats else None
-    if args.nc:
-        f = ncqsym.expand_nc(_as_labelled(g), stats)
-        _report_stats(stats)
-        if not args.t:
-            f = f.at_t(1)
-        if args.basis in (None, "M"):
-            _print_ncqsym(f, args.pretty)
-        elif args.basis in ("F", "Fbar"):
-            coords = ncqsym.to_ncqsym_basis(f, args.basis)
-            name = {"F": "F", "Fbar": "Fb"}[args.basis]
-            if args.pretty:
-                print(_coords_pretty(coords, format_set_composition, name))
-            else:
-                _emit(_coords_json(coords, lambda k: [list(b) for b in k], args.basis))
-        elif args.basis == "m":
-            coords = ncqsym.to_ncsym_m(f)
-            if args.pretty:
-                print(_coords_pretty(coords, format_set_partition, "m"))
-            else:
-                _emit(_coords_json(coords, lambda k: [list(b) for b in k], "m"))
-        else:
-            raise ValueError(f"--basis {args.basis} is not available with --nc")
-        return 0
-    f = chromatic.expand(_as_plain(g), stats)
+    f = algebra.expand(g, stats)
     _report_stats(stats)
     if not args.t:
         f = f.at_t(1)
     if args.basis in (None, "M"):
-        _print_qsym(f, args.pretty)
-    elif args.basis in ("F", "Fbar"):
-        coords = qsym.to_qsym_basis(f, args.basis)
-        name = {"F": "F", "Fbar": "Fb"}[args.basis]
-        if args.pretty:
-            print(_coords_pretty(coords, format_composition, name))
-        else:
-            _emit(_coords_json(coords, list, args.basis))
-    elif args.basis.startswith("sym:"):
-        kind = args.basis.split(":", 1)[1]
-        coords = qsym.to_sym_basis(f, kind)
-        if args.pretty:
-            print(_coords_pretty(coords, format_composition, kind))
-        else:
-            _emit(_coords_json(coords, list, args.basis))
-    else:
-        raise ValueError(f"unknown --basis value {args.basis!r}")
+        _print(f, algebra.to_json, args.pretty)
+        return 0
+    coords, prefix, index_format = algebra.coordinates(f, args.basis)
+    items = sorted(coords.items())
+    if args.pretty:
+        print(_join_terms(_pretty_term(c, prefix + index_format(k)) for k, c in items)
+              if items else "0")
+    else:  # _emit writes a tuple index as a JSON array
+        _emit({"basis": args.basis,
+               "terms": [{"index": k, "coeff_t": tpoly_to_json(c)} for k, c in items]})
     return 0
 
 
 def _cmd_poly(args) -> int:
     g = _read_one_graph(args)
-    f = chromatic.expand(_as_plain(g)).at_t(1)
+    f = _ALGEBRAS[False].expand(g, None).at_t(1)
     poly = qsym.chromatic_polynomial(f)
     if args.eval is not None:
         value = qsym.evaluate_ones(f, args.eval)
@@ -232,10 +237,7 @@ def _cmd_poly(args) -> int:
         else:
             _emit({"p": args.eval, "value": value})
         return 0
-    if args.pretty:
-        print(poly.pretty())
-    else:
-        _emit(qsym.rational_poly_to_json(poly))
+    _print(poly, qsym.rational_poly_to_json, args.pretty)
     return 0
 
 
@@ -250,22 +252,10 @@ def _cmd_combine(args) -> int:
 
 def _cmd_coproduct(args) -> int:
     g = _read_one_graph(args)
-    if args.nc:
-        f = ncqsym.expand_nc(_as_labelled(g))
-        f = f if args.t else f.at_t(1)
-        tens = ncqsym.coproduct_nc(f)
-        if args.pretty:
-            print(tens.pretty())
-        else:
-            _emit(ncqsym.ncqsym_tensor_to_json(tens))
-        return 0
-    f = chromatic.expand(_as_plain(g))
+    algebra = _ALGEBRAS[args.nc]
+    f = algebra.expand(g, None)
     f = f if args.t else f.at_t(1)
-    tens = qsym.coproduct(f)
-    if args.pretty:
-        print(tens.pretty())
-    else:
-        _emit(qsym.qsym_tensor_to_json(tens))
+    _print(algebra.coproduct(f), algebra.tensor_to_json, args.pretty)
     return 0
 
 
@@ -273,18 +263,11 @@ def _cmd_product(args) -> int:
     graphs = _read_graph(args)
     if len(graphs) != 2:
         raise ValueError("product needs exactly two inputs")
-    if args.nc:
-        f = ncqsym.expand_nc(_as_labelled(graphs[0]))
-        g = ncqsym.expand_nc(_as_labelled(graphs[1]))
-        out = f * g
-        out = out if args.t else out.at_t(1)
-        _print_ncqsym(out, args.pretty)
-        return 0
-    f = chromatic.expand(_as_plain(graphs[0]))
-    g = chromatic.expand(_as_plain(graphs[1]))
+    algebra = _ALGEBRAS[args.nc]
+    f, g = (algebra.expand(h, None) for h in graphs)
     out = f * g
     out = out if args.t else out.at_t(1)
-    _print_qsym(out, args.pretty)
+    _print(out, algebra.to_json, args.pretty)
     return 0
 
 
@@ -326,42 +309,32 @@ def _cmd_verify(args) -> int:
     return 0 if result.ok else 1
 
 
-def _bases_qsym(n, kind):
-    if kind in ("M", "F", "Fbar"):
-        maker = {"M": qsym.basis_M, "F": qsym.basis_F, "Fbar": qsym.basis_Fbar}[kind]
-        return [(list(alpha), maker(alpha)) for alpha in compositions(n)]
-    return [(list(lam), qsym.basis_sym(kind, lam)) for lam in partitions(n)]
-
-
-def _bases_ncqsym(n, kind):
-    if kind in ("M", "F", "Fbar"):
-        return [([list(b) for b in phi], ncqsym.basis_nc(kind, phi))
-                for phi in set_compositions(n)]
-    return [([list(b) for b in pi], ncqsym.basis_ncsym(kind, pi))
-            for pi in set_partitions(n)]
+def _basis_elements(space, n, r, kind) -> list:
+    """(index, element) for every element of the listed basis."""
+    if space == "qsym":
+        if kind in ("M", "F", "Fbar"):
+            maker = {"M": qsym.basis_M, "F": qsym.basis_F, "Fbar": qsym.basis_Fbar}[kind]
+            return [(alpha, maker(alpha)) for alpha in compositions(n)]
+        return [(lam, qsym.basis_sym(kind, lam)) for lam in partitions(n)]
+    if space == "ncqsym":
+        if kind in ("M", "F", "Fbar"):
+            return [(phi, ncqsym.basis_nc(kind, phi)) for phi in set_compositions(n)]
+        return [(pi, ncqsym.basis_ncsym(kind, pi)) for pi in set_partitions(n)]
+    if space == "qsym-r":
+        return [(combinat.r_composition_to_json(rc), qsym.basis_r(kind, rc.beta, rc.mu, r))
+                for rc in r_compositions(n, r)]
+    return [(combinat.r_set_composition_to_json(rsc), ncqsym.basis_ncr(kind, rsc.phi, rsc.pi, r))
+            for rsc in r_set_compositions(n, r)]
 
 
 def _cmd_bases(args) -> int:
     n, r, kind = args.n, args.r, args.kind
     if n < 0:
         raise ValueError(f"--n must be nonnegative, got {n}")
-    elements = []
-    if args.space == "qsym":
-        for index, f in _bases_qsym(n, kind):
-            elements.append({"index": index, "expansion": qsym.qsym_to_json(f)})
-    elif args.space == "ncqsym":
-        for index, f in _bases_ncqsym(n, kind):
-            elements.append({"index": index, "expansion": ncqsym.ncqsym_to_json(f)})
-    elif args.space == "qsym-r":
-        for rc in r_compositions(n, r):
-            f = qsym.basis_r(kind, rc.beta, rc.mu, r)
-            elements.append({"index": combinat.r_composition_to_json(rc),
-                             "expansion": qsym.qsym_to_json(f)})
-    elif args.space == "ncqsym-r":
-        for rsc in r_set_compositions(n, r):
-            f = ncqsym.basis_ncr(kind, rsc.phi, rsc.pi, r)
-            elements.append({"index": combinat.r_set_composition_to_json(rsc),
-                             "expansion": ncqsym.ncqsym_to_json(f)})
+    to_json = _ALGEBRAS[args.space.startswith("nc")].to_json
+    # _emit writes a tuple index as a JSON array
+    elements = [{"index": index, "expansion": to_json(f)}
+                for index, f in _basis_elements(args.space, n, r, kind)]
     _emit({"space": args.space, "kind": kind, "n": n,
            "r": None if args.space in ("qsym", "ncqsym") else combinat.r_value_to_json(r),
            "elements": elements})
@@ -388,8 +361,7 @@ def _cmd_mr(args) -> int:
 
 
 def _cmd_balanced(args) -> int:
-    raw = sys.stdin.read() if args.graph == "-" else open(args.graph, encoding="utf-8").read()
-    h = gr.simple_graph_from_json(json.loads(raw))
+    h = gr.simple_graph_from_json(_read_json(args.graph))
     balanced = []
     for orientation in gr.orientations(h):
         if gr.is_k_balanced(orientation, args.k):

@@ -662,6 +662,44 @@ def _set_partitions_of(elements):
 
 
 # ---------------------------------------------------------------------------
+# tableaux
+
+def tableau_contents(rows, admissible) -> dict[tuple[int, ...], int]:
+    """Fillings of the diagram with rows[i] cells in row i, counted per
+    content composition: values 1..n for n cells, every value up to the
+    largest used. Cells fill row by row, and admissible(left, above,
+    value) says whether value may go in a cell whose left and upper
+    neighbours hold left and above (None where the diagram has none)."""
+    n = sum(rows)
+    if n == 0:
+        return {(): 1}
+    index = {(i, j): None for i, row in enumerate(rows) for j in range(row)}
+    for k, cell in enumerate(index):
+        index[cell] = k
+    neighbours = [(index.get((i, j - 1)), index.get((i - 1, j))) for i, j in index]
+    values = [0] * n
+    counts: dict[tuple[int, ...], int] = {}
+
+    def rec(k):
+        if k == n:
+            content = [0] * max(values)
+            for v in values:
+                content[v - 1] += 1
+            if all(content):
+                key = tuple(content)
+                counts[key] = counts.get(key, 0) + 1
+            return
+        left, above = (None if m is None else values[m] for m in neighbours[k])
+        for value in range(1, n + 1):
+            if admissible(left, above, value):
+                values[k] = value
+                rec(k + 1)
+
+    rec(0)
+    return counts
+
+
+# ---------------------------------------------------------------------------
 # ordering and display
 
 def composition_sort_key(alpha):

@@ -443,11 +443,11 @@ def induced(g: EdgeColouredDigraph, vertices) -> EdgeColouredDigraph:
     return make(len(verts), edges)
 
 
-def induced_labelled(lg: LabelledDigraph, vertices, standardize: bool = True) -> LabelledDigraph:
-    """Induced labelled subdigraph; labels standardized onto 1..|S| by default."""
+def induced_labelled(lg: LabelledDigraph, vertices) -> LabelledDigraph:
+    """Induced labelled subdigraph, labels standardized onto 1..|S|."""
     verts = sorted(set(vertices))
-    out = LabelledDigraph(induced(lg.graph, verts), tuple(lg.labels[v] for v in verts))
-    return standardize_labels(out) if standardize else out
+    return standardize_labels(
+        LabelledDigraph(induced(lg.graph, verts), tuple(lg.labels[v] for v in verts)))
 
 
 def closed_subsets(g: EdgeColouredDigraph):
@@ -740,7 +740,10 @@ def parse_dsl(text: str) -> EdgeColouredDigraph:
             raise ValueError(f"unknown builder name {name!r}")
         return combine_chain(kind, parse_args(parse_expr))
 
-    result = parse_expr()
+    try:
+        result = parse_expr()
+    except RecursionError:  # the interpreter's own nesting limit
+        raise ValueError("builder expression nested too deeply") from None
     if pos != len(tokens):
         raise ValueError(f"trailing input after expression: {text!r}")
     return result

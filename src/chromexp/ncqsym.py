@@ -9,7 +9,7 @@ import itertools
 import time
 
 from . import combinat, graph as gr
-from .chromatic import LevelDP
+from .chromatic import LevelDP, closed_subset_sum
 from .combinat import (
     RSetComposition,
     bar_shuffle,
@@ -30,8 +30,8 @@ from .combinat import (
     _shifted_quasi_shuffle,
     _standardized_splits,
 )
-from .graph import LabelledDigraph, contract, closed_subsets, induced_labelled, relabel, standardize_labels
-from .qsym import QSymExpr, TermMap, _merge
+from .graph import LabelledDigraph, contract, induced_labelled, relabel, standardize_labels
+from .qsym import QSymExpr, TensorMap, TermMap, _merge
 from .tpoly import TPoly, tpoly_from_json, tpoly_to_json
 
 
@@ -82,24 +82,10 @@ class NCQSymExpr(TermMap):
                                if sum(len(b) for b in k) == n})
 
 
-class NCQSymTensor(TermMap):
+class NCQSymTensor(TensorMap, leg=NCQSymExpr):
     """Two-fold tensors of noncommutative monomial terms."""
 
     __slots__ = ()
-
-    @staticmethod
-    def _key(pair):
-        left, right = pair
-        return _check_key(left), _check_key(right)
-
-    @staticmethod
-    def _sort_key(pair):
-        return set_composition_sort_key(pair[0]), set_composition_sort_key(pair[1])
-
-    @staticmethod
-    def _name(pair) -> str:
-        return "M%s (x) M%s" % (combinat.format_set_composition(pair[0]),
-                                combinat.format_set_composition(pair[1]))
 
     def __mul__(self, other):
         if not isinstance(other, NCQSymTensor):
@@ -115,12 +101,7 @@ class NCQSymTensor(TermMap):
         return NCQSymTensor._of(out)
 
 
-def tensor_nc(f: NCQSymExpr, g: NCQSymExpr) -> NCQSymTensor:
-    out: dict = {}
-    for a, ca in f.terms.items():
-        for b, cb in g.terms.items():
-            _merge(out, (a, b), ca * cb)
-    return NCQSymTensor._of(out)
+tensor_nc = NCQSymTensor.of_legs
 
 
 # ---------------------------------------------------------------------------
@@ -144,23 +125,23 @@ def expand_nc(lg: LabelledDigraph, stats: dict | None = None) -> NCQSymExpr:
     powers: dict = {}        # ascents -> t^ascents
     terms: dict = {}
 
-    def walk(placed: int, prefix: tuple, asc: int) -> None:
+    # depth first over the paths of moves, in the order of the moves
+    stack = [(0, (), 0)] if con.feasible else []
+    while stack:
+        placed, prefix, asc = stack.pop()
         if placed == dp.full:
             power = powers.get(asc)
             if power is None:
                 power = powers[asc] = TPoly.t_power(asc)
             terms[prefix] = power
-            return
-        for block, up, _ in dp.moves(placed):
+            continue
+        for block, up, _ in reversed(dp.moves(placed)):
             labels = block_labels.get(block)
             if labels is None:
                 labels = block_labels[block] = tuple(sorted(
                     lab for ci, labs in enumerate(class_labels) if block >> ci & 1
                     for lab in labs))
-            walk(placed | block, prefix + (labels,), asc + up)
-
-    if con.feasible:
-        walk(0, (), 0)
+            stack.append((placed | block, prefix + (labels,), asc + up))
     out = NCQSymExpr._of(terms)
     if stats is not None:
         dp.record(stats, len(out.terms), start)
@@ -188,13 +169,8 @@ def coproduct_nc_digraph(lg: LabelledDigraph) -> NCQSymTensor:
     """Digraph-side coproduct at t = 1, with labels standardized on both
     factors."""
     lg = standardize_labels(lg)
-    out = NCQSymTensor()
-    vertices = set(range(lg.graph.n))
-    for subset in closed_subsets(lg.graph):
-        left = expand_nc(induced_labelled(lg, vertices - set(subset))).at_t(1)
-        right = expand_nc(induced_labelled(lg, subset)).at_t(1)
-        out = out + tensor_nc(left, right)
-    return out
+    return closed_subset_sum(lg.graph, lambda part: expand_nc(induced_labelled(lg, part)),
+                             tensor_nc)
 
 
 # ---------------------------------------------------------------------------
@@ -354,41 +330,18 @@ def r_regroup(f: NCQSymExpr, r) -> dict:
     across the full bar-shuffle fiber of the split (missing members
     count as zero), else RegroupError reports the offending fiber.
     """
-    remaining = dict(f.terms)
-    out: dict = {}
-    while remaining:
-        psi = min(remaining, key=set_composition_sort_key)
-        phi, pi = r_split(psi, r)
-        coeff = remaining[psi]
-        fiber = bar_shuffle(phi, pi)
-        bad = {member: remaining.get(member, 0) for member in fiber
-               if remaining.get(member, 0) != coeff}
-        if bad:
-            raise RegroupError((phi, pi), bad)
-        for member in fiber:
-            remaining.pop(member, None)
-        out[RSetComposition(r, phi, pi)] = coeff
-    return out
+    coords = f.collect(lambda psi: r_split(psi, r), lambda split: bar_shuffle(*split),
+                       RegroupError)
+    return {RSetComposition(r, *split): coeff for split, coeff in coords.items()}
 
 
 def r_regroup_tensor(t: NCQSymTensor, r) -> dict:
     """Regroup both tensor legs; fibers are products of leg fibers."""
-    remaining = dict(t.terms)
-    out: dict = {}
-    while remaining:
-        psi1, psi2 = min(remaining, key=lambda k: (set_composition_sort_key(k[0]),
-                                                   set_composition_sort_key(k[1])))
-        s1, s2 = r_split(psi1, r), r_split(psi2, r)
-        coeff = remaining[(psi1, psi2)]
-        fiber = [(m1, m2) for m1 in bar_shuffle(*s1) for m2 in bar_shuffle(*s2)]
-        bad = {member: remaining.get(member, 0) for member in fiber
-               if remaining.get(member, 0) != coeff}
-        if bad:
-            raise RegroupError((s1, s2), bad)
-        for member in fiber:
-            remaining.pop(member, None)
-        out[(RSetComposition(r, *s1), RSetComposition(r, *s2))] = coeff
-    return out
+    coords = t.collect(lambda pair: (r_split(pair[0], r), r_split(pair[1], r)),
+                       lambda splits: list(itertools.product(*(bar_shuffle(*s) for s in splits))),
+                       RegroupError)
+    return {(RSetComposition(r, *s1), RSetComposition(r, *s2)): coeff
+            for (s1, s2), coeff in coords.items()}
 
 
 def in_ncqsym_r(f: NCQSymExpr, r) -> bool:
@@ -419,19 +372,9 @@ def to_ncsym_m(f: NCQSymExpr) -> dict:
     Requires the coefficients to be constant across every ordering of
     each underlying set partition; raises ValueError otherwise.
     """
-    remaining = dict(f.terms)
-    out: dict = {}
-    while remaining:
-        phi = min(remaining, key=set_composition_sort_key)
-        pi = set_partition(phi)
-        coeff = remaining[phi]
-        for order in itertools.permutations(pi):
-            if remaining.get(order, 0) != coeff:
-                raise ValueError(
-                    f"not symmetric in noncommuting variables at {pi}")
-            remaining.pop(order, None)
-        out[pi] = coeff
-    return out
+    return f.collect(set_partition, lambda pi: list(itertools.permutations(pi)),
+                     lambda pi, _: ValueError(
+                         f"not symmetric in noncommuting variables at {pi}"))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .combinat import (
     r_compositions,
     refinements,
     sort_to_partition,
+    tableau_contents,
 )
 from .linalg import solve_combination
 from .tpoly import TPoly, check_coefficient, tpoly_from_json, tpoly_to_json
@@ -139,6 +140,34 @@ class TermMap:
                     _merge(remaining, member, neg)
         return out
 
+    def collect(self, index_of, fiber_of, error) -> dict:
+        """Coordinates over a basis whose element at an index is the sum
+        of the monomials in its fiber, every coefficient 1.
+
+        index_of(key) is the index whose fiber holds the key, and
+        fiber_of(index) lists that fiber. Fibers are read in display
+        order of their least remaining term, whose coefficient every
+        member must carry (a missing member counts as zero); otherwise
+        error(index, {member: coefficient} for the members that differ)
+        is raised.
+        """
+        remaining = dict(self.terms)
+        out: dict = {}
+        for key in sorted(remaining, key=self._sort_key):
+            coeff = remaining.get(key)
+            if coeff is None:
+                continue
+            index = index_of(key)
+            fiber = fiber_of(index)
+            bad = {member: remaining.get(member, 0) for member in fiber
+                   if remaining.get(member, 0) != coeff}
+            if bad:
+                raise error(index, bad)
+            for member in fiber:
+                del remaining[member]
+            out[index] = coeff
+        return out
+
     def pretty(self) -> str:
         if not self.terms:
             return "0"
@@ -200,9 +229,6 @@ class QSymExpr(TermMap):
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted({sum(k) for k in self.terms}))
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def degree(self) -> int:
         degs = self.degrees()
         if len(degs) != 1:
@@ -213,24 +239,38 @@ class QSymExpr(TermMap):
         return QSymExpr._of({k: c for k, c in self.terms.items() if sum(k) == n})
 
 
-class QSymTensor(TermMap):
-    """A sum of two-fold tensors of monomial terms, for coproducts."""
+class TensorMap(TermMap):
+    """A sum of two-fold tensors of the terms of a leg class, for
+    coproducts. A subclass names its leg class, as in
+    `class QSymTensor(TensorMap, leg=QSymExpr)`, which gives it the pair
+    forms of the leg's `_key`, `_sort_key` and `_name`, and writes its
+    own `__mul__`."""
 
     __slots__ = ()
 
-    @staticmethod
-    def _key(pair):
-        left, right = pair
-        return composition(left), composition(right)
+    def __init_subclass__(cls, leg, **kwargs):
+        super().__init_subclass__(**kwargs)
+        key, sort_key, name = leg._key, leg._sort_key, leg._name
 
-    @staticmethod
-    def _sort_key(pair):
-        return composition_sort_key(pair[0]), composition_sort_key(pair[1])
+        def pair_key(pair):
+            left, right = pair
+            return key(left), key(right)
 
-    @staticmethod
-    def _name(pair) -> str:
-        return "M%s (x) M%s" % (combinat.format_composition(pair[0]),
-                                combinat.format_composition(pair[1]))
+        cls._key = staticmethod(pair_key)
+        cls._sort_key = staticmethod(lambda pair: (sort_key(pair[0]), sort_key(pair[1])))
+        cls._name = staticmethod(lambda pair: f"{name(pair[0])} (x) {name(pair[1])}")
+
+    @classmethod
+    def of_legs(cls, f, g):
+        """The tensor f (x) g of two expressions of the leg class."""
+        return cls._of({(a, b): ca * cb for a, ca in f.terms.items()
+                        for b, cb in g.terms.items()})
+
+
+class QSymTensor(TensorMap, leg=QSymExpr):
+    """Two-fold tensors of monomial terms."""
+
+    __slots__ = ()
 
     def __mul__(self, other):
         """Componentwise product (a x b)(c x d) = ac x bd."""
@@ -248,12 +288,7 @@ class QSymTensor(TermMap):
         return QSymTensor._of(out)
 
 
-def tensor(f: QSymExpr, g: QSymExpr) -> QSymTensor:
-    out: dict = {}
-    for a, ca in f.terms.items():
-        for b, cb in g.terms.items():
-            _merge(out, (a, b), ca * cb)
-    return QSymTensor._of(out)
+tensor = QSymTensor.of_legs
 
 
 def coproduct(f: QSymExpr) -> QSymTensor:
@@ -319,38 +354,8 @@ def _product_over_parts(lam, factor) -> QSymExpr:
 def _ssyt_contents(lam) -> dict[tuple[int, ...], int]:
     """Number of semistandard tableaux of the given shape per content
     composition (rows weakly increase, columns strictly increase)."""
-    n = sum(lam)
-    counts: dict[tuple[int, ...], int] = {}
-    if n == 0:
-        return {(): 1}
-    cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
-    filling: dict[tuple[int, int], int] = {}
-
-    def admissible(i, j, value):
-        if j > 0 and value < filling[(i, j - 1)]:
-            return False
-        if i > 0 and value <= filling[(i - 1, j)]:
-            return False
-        return True
-
-    def rec(idx):
-        if idx == len(cells):
-            content = [0] * max(filling.values())
-            for v in filling.values():
-                content[v - 1] += 1
-            if all(content):
-                key = tuple(content)
-                counts[key] = counts.get(key, 0) + 1
-            return
-        i, j = cells[idx]
-        for value in range(1, n + 1):
-            if admissible(i, j, value):
-                filling[(i, j)] = value
-                rec(idx + 1)
-                del filling[(i, j)]
-
-    rec(0)
-    return counts
+    return tableau_contents(lam, lambda left, above, value: (
+        (left is None or value >= left) and (above is None or value > above)))
 
 
 def basis_r(kind: str, beta, mu, r) -> QSymExpr:
@@ -377,10 +382,11 @@ def _t_slices(terms) -> dict[int, dict]:
 
 def is_symmetric(f: QSymExpr) -> bool:
     """Whether the M coefficients are constant on rearrangement classes."""
-    for alpha, coeff in f.terms.items():
-        for other in distinct_rearrangements(sort_to_partition(alpha)):
-            if f.terms.get(other, 0) != coeff:
-                return False
+    try:
+        f.collect(sort_to_partition, lambda lam: list(distinct_rearrangements(lam)),
+                  ValueError)
+    except ValueError:
+        return False
     return True
 
 

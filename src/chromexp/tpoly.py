@@ -64,9 +64,6 @@ class TPoly:
         """Degree in t; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
     def __add__(self, other) -> "TPoly":
         if isinstance(other, TPoly):
             a, b = self.coeffs, other.coeffs

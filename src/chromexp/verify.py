@@ -72,15 +72,15 @@ class VerifyResult:
 # seeded random inputs
 
 CONSTRAINTS = ("neq", "lt", "leq")
+EDGE_PROB = 0.45
 
 
-def random_digraph(rng: random.Random, max_n: int, min_n: int = 1,
-                   edge_prob: float = 0.45) -> gr.EdgeColouredDigraph:
+def random_digraph(rng: random.Random, max_n: int, min_n: int = 1) -> gr.EdgeColouredDigraph:
     n = rng.randint(min_n, max_n)
     edges = []
     for u in range(n):
         for v in range(n):
-            if u != v and rng.random() < edge_prob:
+            if u != v and rng.random() < EDGE_PROB:
                 edges.append((u, v, rng.choice(CONSTRAINTS)))
     return gr.make(n, edges)
 
@@ -127,25 +127,21 @@ def verify_oracle(trials: int = 200, max_n: int = 5, seed: int = 0) -> VerifyRes
 # ---------------------------------------------------------------------------
 # Hopf identities
 
-def _triple_splits_qsym(tensor, apply_left):
+def _triple_splits(tensor, splits, apply_left):
+    """(delta x id) of a tensor when apply_left, else (id x delta), as a
+    dict keyed by triples, for the coproduct that splits an index into
+    the pairs splits(index)."""
     out: dict = {}
     for (a, b), coeff in tensor.terms.items():
         target, fixed = (a, b) if apply_left else (b, a)
-        for i in range(len(target) + 1):
-            pieces = (target[:i], target[i:], fixed) if apply_left \
-                else (fixed, target[:i], target[i:])
-            qsym._merge(out, pieces, coeff)
-    return out
-
-
-def _triple_splits_nc(tensor, apply_left):
-    out: dict = {}
-    for (a, b), coeff in tensor.terms.items():
-        target, fixed = (a, b) if apply_left else (b, a)
-        for first, second in combinat._standardized_splits(target):
+        for first, second in splits(target):
             pieces = (first, second, fixed) if apply_left else (fixed, first, second)
             qsym._merge(out, pieces, coeff)
     return out
+
+
+def _deconcatenations(alpha):
+    return [(alpha[:i], alpha[i:]) for i in range(len(alpha) + 1)]
 
 
 def _counit_legs(tensor, empty_key=()):
@@ -218,7 +214,8 @@ def verify_hopf(trials: int = 50, max_n: int = 4, seed: int = 0,
         f = chromatic.expand(g).at_t(1)
         delta = coproduct(f)
         if not check("coassociativity",
-                     _triple_splits_qsym(delta, True) == _triple_splits_qsym(delta, False),
+                     _triple_splits(delta, _deconcatenations, True)
+                     == _triple_splits(delta, _deconcatenations, False),
                      g):
             return result
         left, right = _counit_legs(delta)
@@ -233,7 +230,8 @@ def verify_hopf(trials: int = 50, max_n: int = 4, seed: int = 0,
         y = expand_nc(lg).at_t(1)
         delta_nc = coproduct_nc(y)
         if not check("nc-coassociativity",
-                     _triple_splits_nc(delta_nc, True) == _triple_splits_nc(delta_nc, False),
+                     _triple_splits(delta_nc, combinat._standardized_splits, True)
+                     == _triple_splits(delta_nc, combinat._standardized_splits, False),
                      lg):
             return result
         pair = y1.at_t(1), y2.at_t(1)
@@ -256,68 +254,24 @@ def _immaculate_contents(alpha, row_strict: bool) -> dict[tuple, int]:
     """Tableau oracle for the composition grids: fillings of the diagram
     of alpha, rows weakly increasing and first column strictly increasing
     (roles swapped when row_strict), counted per content."""
-    n = sum(alpha)
-    cells = [(i, j) for i, row in enumerate(alpha) for j in range(row)]
-    counts: dict[tuple, int] = {}
-    if n == 0:
-        return {(): 1}
-    filling: dict = {}
+    row_gap, column_gap = (1, 0) if row_strict else (0, 1)
 
-    def admissible(i, j, value):
-        if j > 0:
-            prev = filling[(i, j - 1)]
-            if (value <= prev) if row_strict else (value < prev):
-                return False
-        if i > 0 and j == 0:
-            above = filling[(i - 1, 0)]
-            if (value < above) if row_strict else (value <= above):
-                return False
-        return True
+    def admissible(left, above, value):
+        if left is not None:
+            return value >= left + row_gap
+        return above is None or value >= above + column_gap  # the first column
 
-    def rec(idx):
-        if idx == len(cells):
-            content = [0] * max(filling.values())
-            for v in filling.values():
-                content[v - 1] += 1
-            if all(content):
-                key = tuple(content)
-                counts[key] = counts.get(key, 0) + 1
-            return
-        i, j = cells[idx]
-        for value in range(1, n + 1):
-            if admissible(i, j, value):
-                filling[(i, j)] = value
-                rec(idx + 1)
-                del filling[(i, j)]
-
-    rec(0)
-    return counts
+    return combinat.tableau_contents(alpha, admissible)
 
 
-def _ncsym_p_expr(pi, n) -> NCQSymExpr:
-    """Power-sum element directly: M over set compositions whose blocks
-    absorb every block of pi whole."""
+def _ncsym_direct(pi, n, meets) -> NCQSymExpr:
+    """NCSym elements directly: M over the set compositions of [n] in
+    which each block b of pi meets exactly meets(b) blocks. One block
+    gives the power sum, len(b) blocks the elementary element."""
     terms = {}
     for phi in set_compositions(n):
-        lookup = {}
-        for idx, block in enumerate(phi):
-            for x in block:
-                lookup[x] = idx
-        if all(len({lookup[x] for x in block}) == 1 for block in pi):
-            terms[phi] = 1
-    return NCQSymExpr(terms)
-
-
-def _ncsym_e_expr(pi, n) -> NCQSymExpr:
-    """Elementary element directly: M over set compositions separating
-    every block of pi."""
-    terms = {}
-    for phi in set_compositions(n):
-        lookup = {}
-        for idx, block in enumerate(phi):
-            for x in block:
-                lookup[x] = idx
-        if all(len({lookup[x] for x in block}) == len(block) for block in pi):
+        lookup = {x: idx for idx, block in enumerate(phi) for x in block}
+        if all(len({lookup[x] for x in block}) == meets(block) for block in pi):
             terms[phi] = 1
     return NCQSymExpr(terms)
 
@@ -385,10 +339,10 @@ def verify_tables(n: int = 5, sym_n: int = 4) -> VerifyResult:
             if not check(basis_ncsym("m", pi) == ncsym_m_expr(pi),
                          table="ncsym", kind="m", index=[list(b) for b in pi]):
                 return result
-            if not check(basis_ncsym("p", pi) == _ncsym_p_expr(pi, m),
+            if not check(basis_ncsym("p", pi) == _ncsym_direct(pi, m, lambda block: 1),
                          table="ncsym", kind="p", index=[list(b) for b in pi]):
                 return result
-            if not check(basis_ncsym("e", pi) == _ncsym_e_expr(pi, m),
+            if not check(basis_ncsym("e", pi) == _ncsym_direct(pi, m, len),
                          table="ncsym", kind="e", index=[list(b) for b in pi]):
                 return result
             if m <= sym_n:

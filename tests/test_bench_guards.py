@@ -1,0 +1,102 @@
+"""Guards that tie the package to its benchmark in bench/, which they
+read and never change.
+
+* Every recorded benchmark job that is cheap to run (a recorded cost of
+  at most REPLAY_MAX_MS) is replayed through `cli.main` in-process and
+  must give its recorded exit code and the SHA-256 of its recorded
+  stdout, so a refactor that changes one output byte fails here.
+* The benchmark's tracer must still find every function it traces or
+  counts in its owner's namespace, see the calls the command line makes
+  through them, and put every original back when it is removed.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import chromexp
+from chromexp import cli
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))
+
+import tracer  # noqa: E402
+import workloads  # noqa: E402
+
+REPLAY_MAX_MS = 30.0
+
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_cheap_recorded_jobs_replay_byte_for_byte(workload, tmp_path):
+    refs = json.loads((BENCH / "refs" / f"{workload}.json").read_text())["jobs"]
+    jobs = {job.key: job for job in workloads.all_jobs(workload)
+            if job.key in refs and refs[job.key]["ms"] <= REPLAY_MAX_MS}
+    assert jobs
+    mismatches = []
+    for i, job in enumerate(jobs.values()):
+        argv = list(job.argv)
+        if job.graph is not None:
+            path = tmp_path / f"{i}.json"
+            path.write_text(json.dumps(job.graph), encoding="utf-8")
+            argv = [str(path) if a == workloads.INPUT else a for a in argv]
+        code, text = run(argv)
+        ref = refs[job.key]
+        if (code, hashlib.sha256(text.encode("utf-8")).hexdigest()) != (ref["rc"], ref["sha256"]):
+            mismatches.append(job.key)
+    assert mismatches == []
+
+
+def _owners():
+    """Every namespace the tracer may patch: the package's modules and
+    the classes that own a traced method."""
+    owners = [m for key, m in sys.modules.items()
+              if key == "chromexp" or key.startswith("chromexp.")]
+    for name in tracer.TRACED + tracer.COUNTED:
+        module_name, *owner_path, _ = name.split(".")
+        if owner_path:
+            owner = sys.modules[f"chromexp.{module_name}"]
+            for part in owner_path:
+                owner = getattr(owner, part)
+            owners.append(owner)
+    return owners
+
+
+def test_tracer_binds_every_name_and_restores_the_originals():
+    assert chromexp.__name__ == tracer.PACKAGE
+    before = [(owner, dict(vars(owner))) for owner in _owners()]
+    t = tracer.Tracer()
+    try:
+        t.install()  # a name that no longer binds raises KeyError here
+        assert set(t.calls) == set(tracer.TRACED + tracer.COUNTED)
+        for argv in (("expand", "--dsl", "K(3)"),
+                     ("expand", "--nc", "--dsl", "S(C(1),C(2))"),
+                     ("expand", "--basis", "F", "--dsl", "P(3)"),
+                     ("expand", "--nc", "--basis", "Fbar", "--dsl", "P(2)"),
+                     ("expand", "--basis", "sym:e", "--dsl", "K(3)"),
+                     ("coproduct", "--dsl", "P(2)"),
+                     ("coproduct", "--nc", "--dsl", "P(2)"),
+                     ("product", "--nc", "--dsl", "C(1)", "--dsl", "C(1)")):
+            assert run(argv)[0] == 0
+        seen = {name for name, calls in t.calls.items() if calls}
+        assert {"cli.main", "graph.parse_dsl", "chromatic.expand", "ncqsym.expand_nc",
+                "qsym.qsym_to_json", "ncqsym.ncqsym_to_json", "qsym.coproduct",
+                "ncqsym.coproduct_nc", "ncqsym.ncqsym_tensor_to_json",
+                "qsym.to_qsym_basis", "ncqsym.to_ncqsym_basis", "qsym.to_sym_basis",
+                "ncqsym.NCQSymExpr.__mul__"} <= seen
+    finally:
+        t.uninstall()
+    for owner, namespace in before:
+        now = vars(owner)
+        assert all(now.get(key) is value for key, value in namespace.items()), owner

@@ -291,3 +291,22 @@ def test_inputs_that_used_to_escape_exit_three(capsys, argv, message):
 def test_degree_zero_bases_and_trial_free_closure_stay_valid(capsys):
     assert main(["bases", "--space", "qsym", "--kind", "M", "--n", "0"]) == 0
     assert main(["verify", "--suite", "r-closure", "--n", "1", "--trials", "0"]) == 0
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("combine", "--dsl", "U(" * 1500 + "C(1)" + ")" * 1500), "nested too deeply"),
+    (("expand", "--json", "@input"), "nested too deeply"),
+    (("balanced", "--graph", "@input", "--k", "1"), "nested too deeply"),
+], ids=["dsl-1500-deep", "digraph-json-100000-deep", "graph-json-100000-deep"])
+def test_deeply_nested_input_exits_three(tmp_path, capsys, argv, message):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    code = main([str(path) if a == "@input" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line

@@ -12,7 +12,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from chromexp.chromatic import chromatic_number, expand
-from chromexp.graph import LEQ, LT, NEQ, contract, labelled, make, standardize_labels
+from chromexp.graph import LEQ, LT, NEQ, atom, contract, labelled, make, standardize_labels
 from chromexp.ncqsym import NCQSymExpr, expand_nc
 from chromexp.oracle import assert_equal, direct_expand, direct_expand_nc, realize, realize_nc
 from chromexp.qsym import QSymExpr
@@ -183,3 +183,15 @@ def test_expand_stats_count_the_dp():
     infeasible = {}
     assert expand(make(2, [(0, 1, "lt"), (1, 0, "leq")]), infeasible) == QSymExpr.zero()
     assert infeasible["terms"] == 0
+
+
+def test_long_chains_expand_without_deep_recursion():
+    """A solid path has one colouring, one vertex per level from the
+    bottom up with every edge an ascent, at a thousand vertices too."""
+    chain = atom("P", 1000)
+    stats = {}
+    assert expand(chain, stats) == QSymExpr({(1,) * 1000: TPoly.t_power(999)})
+    assert (stats["states"], stats["transitions"]) == (1000, 1000)
+    blocks = tuple((label,) for label in range(1, 1001))
+    assert expand_nc(labelled(chain), stats) == NCQSymExpr({blocks: TPoly.t_power(999)})
+    assert (stats["states"], stats["transitions"]) == (1000, 1000)
