@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 
@@ -424,6 +425,29 @@ def restrict(phi, subset) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 # shuffle products
 
+def _quasi_shuffles(a, b) -> list:
+    """Every path of the overlapping shuffle of two sequences, repeats
+    included: interleavings in which an entry x of a and an entry y of b
+    may merge into x + y. Depth first with an explicit stack, so long
+    inputs do not recurse; at each step the path takes a's next entry
+    first, then b's, then their merge."""
+    la, lb = len(a), len(b)
+    out = []
+    stack = [(0, 0, ())]
+    while stack:
+        i, j, prefix = stack.pop()
+        if i == la:
+            out.append(prefix + b[j:])
+        elif j == lb:
+            out.append(prefix + a[i:])
+        else:
+            x, y = a[i], b[j]
+            stack.append((i + 1, j + 1, prefix + (x + y,)))
+            stack.append((i, j + 1, prefix + (y,)))
+            stack.append((i + 1, j, prefix + (x,)))
+    return out
+
+
 def quasi_shuffle(alpha, beta) -> dict[tuple[int, ...], int]:
     """Overlapping shuffle of two compositions, as a multiset.
 
@@ -431,24 +455,7 @@ def quasi_shuffle(alpha, beta) -> dict[tuple[int, ...], int]:
     merge by addition; the multiplicities realize the product of
     monomial quasisymmetric functions.
     """
-    alpha, beta = tuple(alpha), tuple(beta)
-    out: dict[tuple[int, ...], int] = {}
-
-    def rec(a, b, prefix):
-        if not a:
-            key = prefix + b
-            out[key] = out.get(key, 0) + 1
-            return
-        if not b:
-            key = prefix + a
-            out[key] = out.get(key, 0) + 1
-            return
-        rec(a[1:], b, prefix + (a[0],))
-        rec(a, b[1:], prefix + (b[0],))
-        rec(a[1:], b[1:], prefix + (a[0] + b[0],))
-
-    rec(alpha, beta, ())
-    return out
+    return dict(Counter(_quasi_shuffles(tuple(alpha), tuple(beta))))
 
 
 def shifted_quasi_shuffle(phi, psi) -> set[tuple[tuple[int, ...], ...]]:
@@ -469,23 +476,8 @@ def _shifted_quasi_shuffle(phi, psi) -> list:
     segments (not validated). Every path of the interleaving gives a
     different result, and a merged block needs no sort: the elements of
     phi all lie below the shifted ones of psi."""
-    n = sum(len(b) for b in phi)
-    shifted = tuple(tuple(x + n for x in b) for b in psi)
-    out = []
-
-    def rec(a, b, prefix):
-        if not a:
-            out.append(prefix + b)
-            return
-        if not b:
-            out.append(prefix + a)
-            return
-        rec(a[1:], b, prefix + (a[0],))
-        rec(a, b[1:], prefix + (b[0],))
-        rec(a[1:], b[1:], prefix + (a[0] + b[0],))
-
-    rec(phi, shifted, ())
-    return out
+    n = sum(map(len, phi))
+    return _quasi_shuffles(phi, tuple(tuple(x + n for x in b) for b in psi))
 
 
 def _initial_segment_size(phi) -> int:

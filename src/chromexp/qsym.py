@@ -13,6 +13,7 @@ from fractions import Fraction
 from . import combinat, graph, tpoly
 from .combinat import (
     RComposition,
+    _quasi_shuffles,
     coarsenings,
     composition,
     composition_sort_key,
@@ -22,7 +23,6 @@ from .combinat import (
     lambda_superfactorial,
     partition,
     partitions,
-    quasi_shuffle,
     r_compositions,
     refinements,
     sort_to_partition,
@@ -47,9 +47,11 @@ class TermMap:
     """A sparse map from term keys to nonzero coefficients, the core of
     the expression and tensor classes. A coefficient is an exact scalar
     (an int that is not a bool, or a Fraction) or a TPoly; see the tpoly
-    module. Each subclass supplies `_key` (check and canonicalize one
-    key), `_sort_key` (display order), `_name` (a term's printed name)
-    and its own `__mul__`.
+    module. A leg class (QSymExpr, NCQSymExpr) is the one place that
+    knows its key format. It supplies `_key` (check and canonicalize one
+    key), `_sort_key` (display order), `_name` (a term's printed name),
+    `_shuffle(a, b)` (every path of the product, repeats included),
+    `_splits(key)` (the coproduct's pairs) and `_size(key)` (its degree).
 
     The public constructor validates and canonicalizes every key, checks
     every coefficient (TypeError outside the exact domain) and merges
@@ -103,8 +105,33 @@ class TermMap:
         check_coefficient(factor)
         return self._of({k: p for k, c in self.terms.items() if (p := c * factor)})
 
+    def __mul__(self, other):
+        """Product: every path of the shuffle of two keys carries the
+        product of their coefficients. A non-expression is a scalar."""
+        if not isinstance(other, type(self)):
+            return self.scale(other)
+        shuffle = self._shuffle
+        out: dict = {}
+        for a, ca in self.terms.items():
+            for b, cb in other.terms.items():
+                coeff = ca * cb
+                for gamma in shuffle(a, b):
+                    _merge(out, gamma, coeff)
+        return self._of(out)
+
     def __rmul__(self, other):
         return self.scale(other)
+
+    @classmethod
+    def one(cls):
+        return cls({(): 1})
+
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(sorted({self._size(k) for k in self.terms}))
+
+    def homogeneous_component(self, n: int):
+        size = self._size
+        return self._of({k: c for k, c in self.terms.items() if size(k) == n})
 
     def at_t(self, t=1):
         """Specialize the ascent variable: every coefficient becomes a scalar."""
@@ -202,49 +229,31 @@ class QSymExpr(TermMap):
     __slots__ = ()
     _key = staticmethod(composition)
     _sort_key = staticmethod(composition_sort_key)
+    _shuffle = staticmethod(_quasi_shuffles)
+    _size = staticmethod(sum)
 
     @staticmethod
     def _name(alpha) -> str:
         return "M" + combinat.format_composition(alpha)
 
-    @classmethod
-    def one(cls) -> "QSymExpr":
-        return cls({(): 1})
+    @staticmethod
+    def _splits(alpha):
+        """Deconcatenation."""
+        return [(alpha[:i], alpha[i:]) for i in range(len(alpha) + 1)]
 
     def coefficient(self, alpha):
         return self.terms.get(composition(alpha), 0)
 
-    def __mul__(self, other):
-        """Product via the overlapping shuffle on monomial indices."""
-        if isinstance(other, QSymExpr):
-            out: dict = {}
-            for a, ca in self.terms.items():
-                for b, cb in other.terms.items():
-                    coeff = ca * cb
-                    for gamma, mult in quasi_shuffle(a, b).items():
-                        _merge(out, gamma, coeff * mult)
-            return QSymExpr._of(out)
-        return self.scale(other)
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted({sum(k) for k in self.terms}))
-
-    def degree(self) -> int:
-        degs = self.degrees()
-        if len(degs) != 1:
-            raise ValueError("expression is zero or mixed-degree")
-        return degs[0]
-
-    def homogeneous_component(self, n: int) -> "QSymExpr":
-        return QSymExpr._of({k: c for k, c in self.terms.items() if sum(k) == n})
+    # bench/tracer.py traces a method through its owner's own __dict__
+    __mul__ = TermMap.__mul__
 
 
 class TensorMap(TermMap):
     """A sum of two-fold tensors of the terms of a leg class, for
     coproducts. A subclass names its leg class, as in
-    `class QSymTensor(TensorMap, leg=QSymExpr)`, which gives it the pair
-    forms of the leg's `_key`, `_sort_key` and `_name`, and writes its
-    own `__mul__`."""
+    `class QSymTensor(TensorMap, leg=QSymExpr)`, which keeps it as `_leg`
+    and gives the subclass the pair forms of the leg's `_key`,
+    `_sort_key` and `_name`."""
 
     __slots__ = ()
 
@@ -256,9 +265,26 @@ class TensorMap(TermMap):
             left, right = pair
             return key(left), key(right)
 
+        cls._leg = leg
         cls._key = staticmethod(pair_key)
         cls._sort_key = staticmethod(lambda pair: (sort_key(pair[0]), sort_key(pair[1])))
         cls._name = staticmethod(lambda pair: f"{name(pair[0])} (x) {name(pair[1])}")
+
+    def __mul__(self, other):
+        """Componentwise product (a x b)(c x d) = ac x bd, every pair of
+        shuffle paths carrying the product of the coefficients."""
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        shuffle = self._leg._shuffle
+        out: dict = {}
+        for (a1, a2), ca in self.terms.items():
+            for (b1, b2), cb in other.terms.items():
+                coeff = ca * cb
+                right = shuffle(a2, b2)
+                for g1 in shuffle(a1, b1):
+                    for g2 in right:
+                        _merge(out, (g1, g2), coeff)
+        return self._of(out)
 
     @classmethod
     def of_legs(cls, f, g):
@@ -272,32 +298,27 @@ class QSymTensor(TensorMap, leg=QSymExpr):
 
     __slots__ = ()
 
-    def __mul__(self, other):
-        """Componentwise product (a x b)(c x d) = ac x bd."""
-        if not isinstance(other, QSymTensor):
-            return NotImplemented
-        out: dict = {}
-        for (a1, a2), ca in self.terms.items():
-            for (b1, b2), cb in other.terms.items():
-                coeff = ca * cb
-                left = quasi_shuffle(a1, b1)
-                right = quasi_shuffle(a2, b2)
-                for g1, m1 in left.items():
-                    for g2, m2 in right.items():
-                        _merge(out, (g1, g2), coeff * (m1 * m2))
-        return QSymTensor._of(out)
+    # bench/tracer.py traces a method through its owner's own __dict__
+    __mul__ = TensorMap.__mul__
 
 
 tensor = QSymTensor.of_legs
 
 
+def _coproduct(f: TermMap, tensor_cls):
+    """The coproduct of f into tensor_cls: every (left, right) split of
+    a key carries that key's coefficient."""
+    splits = f._splits
+    out: dict = {}
+    for key, coeff in f.terms.items():
+        for pair in splits(key):
+            _merge(out, pair, coeff)
+    return tensor_cls._of(out)
+
+
 def coproduct(f: QSymExpr) -> QSymTensor:
     """Deconcatenation of monomial indices, coefficients riding along."""
-    out: dict = {}
-    for alpha, coeff in f.terms.items():
-        for i in range(len(alpha) + 1):
-            _merge(out, (alpha[:i], alpha[i:]), coeff)
-    return QSymTensor._of(out)
+    return _coproduct(f, QSymTensor)
 
 
 # ---------------------------------------------------------------------------
@@ -471,18 +492,6 @@ class RationalPoly:
             acc = acc * x + c
         return _fraction_or_int(acc)
 
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        def get(p, k):
-            return p.coeffs[k] if k < len(p.coeffs) else 0
-        return _rational_poly([get(self, k) + get(other, k) for k in range(n)])
-
-    def scale(self, factor):
-        return _rational_poly([c * factor for c in self.coeffs])
-
     def pretty(self) -> str:
         if not self.coeffs:
             return "0"
@@ -498,23 +507,6 @@ class RationalPoly:
         return _join_terms(bits)
 
 
-def _rational_poly(coeffs) -> RationalPoly:
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return RationalPoly(tuple(_fraction_or_int(c) for c in cs))
-
-
-def _binomial_poly(k: int) -> RationalPoly:
-    """binomial(p, k) as a polynomial in p."""
-    coeffs = [Fraction(1)]
-    for i in range(k):
-        # multiply by (p - i)
-        shifted = [Fraction(0)] + coeffs
-        coeffs = [s - i * c for s, c in zip(shifted, coeffs + [Fraction(0)])]
-    return _rational_poly([c / math.factorial(k) for c in coeffs])
-
-
 def evaluate_ones(f: QSymExpr, p: int) -> int:
     """Exact value after substituting 1 for the first p variables and 0
     for the rest; f must already be specialized at t = 1."""
@@ -527,13 +519,26 @@ def evaluate_ones(f: QSymExpr, p: int) -> int:
 
 
 def chromatic_polynomial(f: QSymExpr) -> RationalPoly:
-    """The polynomial p -> evaluate_ones(f, p), written out exactly."""
+    """The polynomial p -> evaluate_ones(f, p), written out exactly: the
+    sum of c_k * binomial(p, k), c_k the coefficient sum over the k-part
+    terms, by Horner's rule scaled by top! to stay in exact integers:
+    g_top = c_top, g_k = (top!/k!) c_k + (p - k) g_(k+1), g_0 = top! * it."""
     if f.t_degree() > 0:
         raise ValueError("specialize t first (at_t)")
-    out = _rational_poly([])
+    sums: dict = {}
     for alpha, coeff in f.terms.items():
-        out = out + _binomial_poly(len(alpha)).scale(Fraction(tpoly.evaluate(coeff, 1)))
-    return out
+        sums[len(alpha)] = sums.get(len(alpha), 0) + tpoly.evaluate(coeff, 1)
+    top = max(sums, default=0)
+    acc: list = []
+    scale = 1  # top!/k!
+    for k in range(top, -1, -1):
+        acc = [a - k * b for a, b in zip([0, *acc], [*acc, 0])]  # (p - k) * acc
+        acc[0] += scale * sums.get(k, 0)
+        scale *= k
+    while acc and not acc[-1]:
+        acc.pop()
+    top_factorial = math.factorial(top)
+    return RationalPoly(tuple(_fraction_or_int(Fraction(c, top_factorial)) for c in acc))
 
 
 def rational_poly_to_json(poly: RationalPoly) -> dict:

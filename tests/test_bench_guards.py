@@ -100,3 +100,24 @@ def test_tracer_binds_every_name_and_restores_the_originals():
     for owner, namespace in before:
         now = vars(owner)
         assert all(now.get(key) is value for key, value in namespace.items()), owner
+
+
+def test_tracer_sees_every_product_and_coproduct():
+    """The products and coproducts of both algebras share one body each,
+    bound under each traced name; every one of those names still sees
+    the calls made through it."""
+    t = tracer.Tracer()
+    try:
+        t.install()
+        for argv in (("product", "--dsl", "P(2)", "--dsl", "C(1)"),
+                     ("product", "--nc", "--dsl", "P(2)", "--dsl", "C(1)"),
+                     ("coproduct", "--dsl", "P(2)"),
+                     ("coproduct", "--nc", "--dsl", "P(2)"),
+                     ("verify", "--suite", "hopf", "--trials", "1")):
+            assert run(argv)[0] == 0
+        names = ("qsym.QSymExpr.__mul__", "qsym.QSymTensor.__mul__",
+                 "ncqsym.NCQSymExpr.__mul__", "ncqsym.NCQSymTensor.__mul__",
+                 "qsym.coproduct", "ncqsym.coproduct_nc")
+        assert {name: t.calls[name] > 0 for name in names} == dict.fromkeys(names, True)
+    finally:
+        t.uninstall()

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chromexp import verify as verify_mod
+from chromexp.graph import digraph_from_json, digraph_to_json, parse_dsl
 from chromexp.cli import main
 from chromexp.verify import VerifyResult
 
@@ -310,3 +315,44 @@ def test_deeply_nested_input_exits_three(tmp_path, capsys, argv, message):
     assert captured.out == ""
     line, = captured.err.splitlines()
     assert line.startswith("error: ") and message in line
+
+
+def test_long_product_exits_zero(capsys):
+    code, out = run(capsys, "product", "--dsl", "P(1000)", "--dsl", "C(1)", "--pretty")
+    assert code == 0
+    assert out.count(" + ") == 1000 and out.startswith("1001*M(1,1,")
+
+
+@st.composite
+def builder_expressions(draw, depth=2):
+    """Atoms, grids and every operator name, nested up to depth."""
+    if depth == 0 or draw(st.booleans()):
+        name = draw(st.sampled_from(("C", "P", "Q", "K", "grid", "cgrid", "rcgrid")))
+        if name in "CPQK":
+            return f"{name}({draw(st.integers(min_value=1, max_value=3))})"
+        parts = draw(st.lists(st.integers(min_value=1, max_value=2), min_size=1, max_size=2))
+        if name == "grid":
+            parts.sort(reverse=True)
+        return f"{name}({','.join(map(str, parts))})"
+    op = draw(st.sampled_from(("U", "D", "S", "W", "Uchain", "Dchain", "Schain", "Wchain")))
+    args = draw(st.lists(builder_expressions(depth - 1), min_size=2, max_size=3))
+    return f"{op}({','.join(args)})"
+
+
+def _stdout(argv, stdin=""):
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(builder_expressions())
+def test_builder_expressions_round_trip_through_json(text):
+    g = parse_dsl(text)
+    assert digraph_from_json(digraph_to_json(g)) == g
+    if g.n > 7:
+        return
+    code, combined = _stdout(["combine", "--dsl", text])
+    assert code == 0
+    assert _stdout(["expand", "--json", "-"], combined) == _stdout(["expand", "--dsl", text])
