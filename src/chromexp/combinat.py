@@ -303,7 +303,16 @@ def standardize_set_composition(phi):
     return tuple(tuple(rank[x] for x in b) for b in phi)
 
 
-def _standardized_splits(phi):
+def _splits_memo():
+    """A fresh memo for _standardized_splits, to be shared by the keys of
+    one coproduct: block -> its bit mask, the ground masks seen once,
+    and ground mask -> its table, which maps the mask of a block within
+    that ground to the block standardized in it. Bit x of a mask stands
+    for element x."""
+    return {}, set(), {}
+
+
+def _standardized_splits(phi, memo=None):
     """(std(phi[:i]), std(phi[i:])) for i = 0..len(phi), for a canonical
     phi covering [n] (not validated).
 
@@ -311,17 +320,74 @@ def _standardized_splits(phi):
     below[x] in the prefix (if it lies there) and x - below[x] in the
     suffix (otherwise), where below[x] counts the prefix elements up to
     x; one counting pass per split gives both, with no sort.
+
+    The first and last splits need no ranks, as phi covers [n]. Within
+    a memo, each block is standardized once per ground: a side whose
+    ground has a table reads its blocks from it. A ground gets its table
+    the second time it occurs, so a single long key, whose grounds never
+    repeat, leaves no table. The counting pass is made at most once per
+    split, and only when a side needs it.
     """
-    n = sum(len(b) for b in phi)
+    masks, seen, tables = _splits_memo() if memo is None else memo
+    bits = []
+    for b in phi:
+        mask = masks.get(b)
+        if mask is None:
+            mask = masks[b] = sum([1 << x for x in b])
+        bits.append(mask)
+    n = sum(map(len, phi))
+    full = (2 << n) - 2
     in_prefix = [0] * (n + 1)
-    for i in range(len(phi) + 1):
-        below = list(itertools.accumulate(in_prefix))
-        above = [x - c for x, c in enumerate(below)]
-        yield (tuple([tuple([below[x] for x in b]) for b in phi[:i]]),
-               tuple([tuple([above[x] for x in b]) for b in phi[i:]]))
-        if i < len(phi):
-            for x in phi[i]:
-                in_prefix[x] = 1
+    yield (), phi
+    ground = 0
+    for i in range(1, len(phi)):
+        ground |= bits[i - 1]
+        for x in phi[i - 1]:
+            in_prefix[x] = 1
+        left = right = below = None
+        table = tables.get(ground)
+        if table is not None:
+            try:
+                left = tuple([table[m] for m in bits[:i]])
+            except KeyError:
+                pass
+        if left is None:
+            below = list(itertools.accumulate(in_prefix))
+            left = _standardize_side(tables, seen, ground, phi[:i], bits[:i], below)
+        rest = full ^ ground
+        table = tables.get(rest)
+        if table is not None:
+            try:
+                right = tuple([table[m] for m in bits[i:]])
+            except KeyError:
+                pass
+        if right is None:
+            if below is None:
+                below = list(itertools.accumulate(in_prefix))
+            right = _standardize_side(tables, seen, rest, phi[i:], bits[i:],
+                                      [x - c for x, c in enumerate(below)])
+        yield left, right
+    if phi:
+        yield phi, ()
+
+
+def _standardize_side(tables, seen, ground, blocks, bits, rank):
+    """The blocks of one side standardized in its ground, rank[x] being
+    the rank of x there. A ground's first time leaves no trace but in
+    `seen`; from its second time on, its table keeps each block."""
+    table = tables.get(ground)
+    if table is None:
+        if ground not in seen:
+            seen.add(ground)
+            return tuple([tuple([rank[x] for x in b]) for b in blocks])
+        table = tables[ground] = {}
+    out = []
+    for mask, b in zip(bits, blocks):
+        block = table.get(mask)
+        if block is None:
+            block = table[mask] = tuple([rank[x] for x in b])
+        out.append(block)
+    return tuple(out)
 
 
 def standardize_set_partition(pi):
@@ -446,6 +512,20 @@ def _quasi_shuffles(a, b) -> list:
             stack.append((i, j + 1, prefix + (y,)))
             stack.append((i + 1, j, prefix + (x,)))
     return out
+
+
+def _by_multiplicity(paths):
+    """The distinct paths as (multiplicity, paths) groups, the groups and
+    the paths in each in order of first occurrence. A plain dict counts
+    them: most products shuffle short keys, where Counter's set-up costs
+    more than the counting."""
+    counts: dict = {}
+    for path in paths:
+        counts[path] = counts.get(path, 0) + 1
+    groups: dict = {}
+    for path, count in counts.items():
+        groups.setdefault(count, []).append(path)
+    return groups.items()
 
 
 def quasi_shuffle(alpha, beta) -> dict[tuple[int, ...], int]:

@@ -58,6 +58,11 @@ class NCQSymExpr(TermMap):
         return "M" + combinat.format_set_composition(phi)
 
     @staticmethod
+    def _shuffle_groups(phi, psi):
+        """Shifted paths never repeat: one group of multiplicity 1."""
+        return ((1, _shifted_quasi_shuffle(phi, psi)),)
+
+    @staticmethod
     def _size(phi) -> int:
         return sum(map(len, phi))
 

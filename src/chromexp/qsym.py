@@ -13,7 +13,9 @@ from fractions import Fraction
 from . import combinat, graph, tpoly
 from .combinat import (
     RComposition,
+    _by_multiplicity,
     _quasi_shuffles,
+    _splits_memo,
     coarsenings,
     composition,
     composition_sort_key,
@@ -50,8 +52,10 @@ class TermMap:
     module. A leg class (QSymExpr, NCQSymExpr) is the one place that
     knows its key format. It supplies `_key` (check and canonicalize one
     key), `_sort_key` (display order), `_name` (a term's printed name),
-    `_shuffle(a, b)` (every path of the product, repeats included),
-    `_splits(key)` (the coproduct's pairs) and `_size(key)` (its degree).
+    `_shuffle(a, b)` (every path of the product, repeats included; the
+    product reads them grouped by `_shuffle_groups`),
+    `_splits(key, memo)` (the coproduct's pairs; `memo` is shared by the
+    keys of one call) and `_size(key)` (its degree).
 
     The public constructor validates and canonicalizes every key, checks
     every coefficient (TypeError outside the exact domain) and merges
@@ -106,18 +110,27 @@ class TermMap:
         return self._of({k: p for k, c in self.terms.items() if (p := c * factor)})
 
     def __mul__(self, other):
-        """Product: every path of the shuffle of two keys carries the
-        product of their coefficients. A non-expression is a scalar."""
+        """Product: each distinct path of the shuffle of two keys carries
+        the product of their coefficients times the path's multiplicity.
+        A non-expression is a scalar."""
         if not isinstance(other, type(self)):
             return self.scale(other)
-        shuffle = self._shuffle
+        groups = self._shuffle_groups
         out: dict = {}
         for a, ca in self.terms.items():
             for b, cb in other.terms.items():
                 coeff = ca * cb
-                for gamma in shuffle(a, b):
-                    _merge(out, gamma, coeff)
+                for count, paths in groups(a, b):
+                    c = coeff * count if count > 1 else coeff
+                    for gamma in paths:
+                        _merge(out, gamma, c)
         return self._of(out)
+
+    @classmethod
+    def _shuffle_groups(cls, a, b):
+        """The distinct paths of `_shuffle(a, b)` as (multiplicity,
+        paths) groups, so that each is merged once."""
+        return _by_multiplicity(cls._shuffle(a, b))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -237,8 +250,8 @@ class QSymExpr(TermMap):
         return "M" + combinat.format_composition(alpha)
 
     @staticmethod
-    def _splits(alpha):
-        """Deconcatenation."""
+    def _splits(alpha, memo=None):
+        """Deconcatenation. It needs no memo and ignores one."""
         return [(alpha[:i], alpha[i:]) for i in range(len(alpha) + 1)]
 
     def coefficient(self, alpha):
@@ -271,19 +284,24 @@ class TensorMap(TermMap):
         cls._name = staticmethod(lambda pair: f"{name(pair[0])} (x) {name(pair[1])}")
 
     def __mul__(self, other):
-        """Componentwise product (a x b)(c x d) = ac x bd, every pair of
-        shuffle paths carrying the product of the coefficients."""
+        """Componentwise product (a x b)(c x d) = ac x bd, each pair of
+        distinct shuffle paths carrying the product of the coefficients
+        times the product of the paths' multiplicities."""
         if not isinstance(other, type(self)):
             return NotImplemented
-        shuffle = self._leg._shuffle
+        groups = self._leg._shuffle_groups
         out: dict = {}
         for (a1, a2), ca in self.terms.items():
             for (b1, b2), cb in other.terms.items():
                 coeff = ca * cb
-                right = shuffle(a2, b2)
-                for g1 in shuffle(a1, b1):
-                    for g2 in right:
-                        _merge(out, (g1, g2), coeff)
+                right = groups(a2, b2)
+                for count1, left_paths in groups(a1, b1):
+                    for count2, right_paths in right:
+                        count = count1 * count2
+                        c = coeff * count if count > 1 else coeff
+                        for g1 in left_paths:
+                            for g2 in right_paths:
+                                _merge(out, (g1, g2), c)
         return self._of(out)
 
     @classmethod
@@ -307,11 +325,13 @@ tensor = QSymTensor.of_legs
 
 def _coproduct(f: TermMap, tensor_cls):
     """The coproduct of f into tensor_cls: every (left, right) split of
-    a key carries that key's coefficient."""
+    a key carries that key's coefficient. The keys share one memo of
+    the leg class's splits for the call."""
     splits = f._splits
+    memo = _splits_memo()
     out: dict = {}
     for key, coeff in f.terms.items():
-        for pair in splits(key):
+        for pair in splits(key, memo):
             _merge(out, pair, coeff)
     return tensor_cls._of(out)
 

@@ -129,12 +129,14 @@ def verify_oracle(trials: int = 200, max_n: int = 5, seed: int = 0) -> VerifyRes
 
 def _triple_splits(tensor, apply_left):
     """(delta x id) of a tensor when apply_left, else (id x delta), as a
-    dict keyed by triples, with the coproduct of the tensor's leg class."""
+    dict keyed by triples, with the coproduct of the tensor's leg class
+    and one memo of its splits for the call."""
     splits = tensor._leg._splits
+    memo = combinat._splits_memo()
     out: dict = {}
     for (a, b), coeff in tensor.terms.items():
         target, fixed = (a, b) if apply_left else (b, a)
-        for first, second in splits(target):
+        for first, second in splits(target, memo):
             pieces = (first, second, fixed) if apply_left else (fixed, first, second)
             qsym._merge(out, pieces, coeff)
     return out

@@ -348,3 +348,47 @@ def test_chromatic_polynomial_matches_the_per_term_construction(f):
 def test_chromatic_polynomial_matches_on_expansions(seed):
     f = expand(random_digraph(random.Random(seed), 5, min_n=0)).at_t(1)
     assert chromatic_polynomial(f) == ref_chromatic_polynomial(f)
+
+
+# ---------------------------------------------------------------------------
+# repeated shuffle paths
+
+
+def counted_merges(monkeypatch, product):
+    calls = []
+
+    def counting_merge(terms, key, coeff):
+        calls.append(key)
+        _merge(terms, key, coeff)
+
+    monkeypatch.setattr("chromexp.qsym._merge", counting_merge)
+    result = product()
+    monkeypatch.undo()
+    return result, calls
+
+
+def test_each_distinct_commutative_path_is_merged_once(monkeypatch):
+    f = expand(gr.parse_dsl("K(4)"))
+    g = expand(gr.parse_dsl("U(P(2),C(1))"))
+    for x, y in [(f, f), (f, g), (g, g), (f.at_t(1), g.at_t(1))]:
+        product, calls = counted_merges(monkeypatch, lambda: x * y)
+        assert_same(product, ref_qsym_mul(x, y))
+        assert len(calls) == sum(
+            len(quasi_shuffle(a, b)) for a in x.terms for b in y.terms)
+        dx, dy = coproduct(x), coproduct(y)
+        product, calls = counted_merges(monkeypatch, lambda: dx * dy)
+        assert_same(product, ref_qsym_tensor_mul(dx, dy))
+        assert len(calls) == sum(
+            len(quasi_shuffle(a1, b1)) * len(quasi_shuffle(a2, b2))
+            for a1, a2 in dx.terms for b1, b2 in dy.terms)
+
+
+def test_noncommutative_paths_keep_their_coefficient_objects(monkeypatch):
+    t = TPoly.t_power(1)
+    y = NCQSymExpr._of({((2,), (1, 3)): t})
+    z = NCQSymExpr._of({((1, 2),): t + TPoly.t_power(0)})
+    product, calls = counted_merges(monkeypatch, lambda: y * z)
+    assert_same(product, ref_nc_mul(y, z))
+    assert calls == _shifted_quasi_shuffle(((2,), (1, 3)), ((1, 2),))
+    coeffs = list(product.terms.values())
+    assert len(coeffs) == len(calls) and all(c is coeffs[0] for c in coeffs)
