@@ -317,8 +317,9 @@ def _basis_elements(space, n, r, kind) -> list:
             return [(alpha, maker(alpha)) for alpha in compositions(n)]
         return [(lam, qsym.basis_sym(kind, lam)) for lam in partitions(n)]
     if space == "ncqsym":
-        if kind in ("M", "F", "Fbar"):
-            return [(phi, ncqsym.basis_nc(kind, phi)) for phi in set_compositions(n)]
+        if kind in ("M", "F", "Fbar"):  # set_compositions yields canonical keys
+            maker = ncqsym.basis_nc if kind == "M" else ncqsym._basis_nc_canonical
+            return [(phi, maker(kind, phi)) for phi in set_compositions(n)]
         return [(pi, ncqsym.basis_ncsym(kind, pi)) for pi in set_partitions(n)]
     if space == "qsym-r":
         return [(combinat.r_composition_to_json(rc), qsym.basis_r(kind, rc.beta, rc.mu, r))

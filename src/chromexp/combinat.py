@@ -169,12 +169,43 @@ def lambda_superfactorial(lam) -> int:
 
 
 def distinct_rearrangements(lam):
-    """All distinct compositions with the same multiset of parts."""
-    seen = set()
-    for perm in itertools.permutations(lam):
-        if perm not in seen:
-            seen.add(perm)
-            yield perm
+    """All distinct compositions with the same multiset of parts, in the
+    order in which they first occur in itertools.permutations(lam).
+
+    A rearrangement first occurs where each part takes the earliest
+    position of its value not yet used, so the walk places one value per
+    step and tries the values in the order of those positions.
+    """
+    lam = tuple(lam)
+    n = len(lam)
+    if n == 0:
+        yield ()
+        return
+    where: dict = {}
+    for i, part in enumerate(lam):
+        where.setdefault(part, []).append(i)
+    used = dict.fromkeys(where, 0)
+
+    def choices():
+        return iter(sorted((spots[used[v]], v) for v, spots in where.items()
+                           if used[v] < len(spots)))
+
+    picks: list = []  # (position, value) of each part placed so far
+    stack = [choices()]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if picks:
+                used[picks.pop()[1]] -= 1
+            continue
+        picks.append(step)
+        used[step[1]] += 1
+        if len(picks) < n:
+            stack.append(choices())
+            continue
+        yield tuple(lam[i] for i, _ in picks)
+        used[picks.pop()[1]] -= 1
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +772,11 @@ def tableau_contents(rows, admissible) -> dict[tuple[int, ...], int]:
     content composition: values 1..n for n cells, every value up to the
     largest used. Cells fill row by row, and admissible(left, above,
     value) says whether value may go in a cell whose left and upper
-    neighbours hold left and above (None where the diagram has none)."""
+    neighbours hold left and above (None where the diagram has none).
+
+    verify's oracle for the composition grids (immaculate tableaux) is
+    its caller. Semistandard tableaux, for basis_sym("s"), are counted
+    by horizontal strips in qsym instead."""
     n = sum(rows)
     if n == 0:
         return {(): 1}

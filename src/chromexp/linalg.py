@@ -20,11 +20,13 @@ def _reduce(rows, ncols) -> list[int]:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
+        # zero entries stay as they are: about half of them on the
+        # symmetric-basis systems
+        rows[rank] = [x * inv if x else x for x in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][col] != 0:
                 factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+                rows[r] = [x - factor * y if y else x for x, y in zip(rows[r], rows[rank])]
         pivots.append(col)
     return pivots
 

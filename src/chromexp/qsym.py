@@ -28,7 +28,6 @@ from .combinat import (
     r_compositions,
     refinements,
     sort_to_partition,
-    tableau_contents,
 )
 from .linalg import solve_combination
 from .tpoly import TPoly, check_coefficient, tpoly_from_json, tpoly_to_json
@@ -362,10 +361,13 @@ def basis_Fbar(alpha) -> QSymExpr:
     return QSymExpr._of(dict.fromkeys(coarsenings(composition(alpha)), 1))
 
 
+SYM_KINDS = ("m", "maug", "e", "eaug", "h", "p", "s")
+
+
 def basis_sym(kind: str, lam) -> QSymExpr:
     """Symmetric-function bases in M coordinates, from their
     combinatorial definitions (not from digraphs): kind is one of
-    m, maug, e, eaug, h, p, s."""
+    SYM_KINDS."""
     lam = partition(lam)
     if kind == "m":
         return QSymExpr({alpha: 1 for alpha in distinct_rearrangements(lam)})
@@ -381,7 +383,7 @@ def basis_sym(kind: str, lam) -> QSymExpr:
     if kind == "p":
         return _product_over_parts(lam, lambda p: QSymExpr({(p,): 1}))
     if kind == "s":
-        return QSymExpr({alpha: count for alpha, count in _ssyt_contents(lam).items()})
+        return QSymExpr._of(_ssyt_contents(lam))
     raise ValueError(f"unknown symmetric basis kind {kind!r}")
 
 
@@ -394,9 +396,53 @@ def _product_over_parts(lam, factor) -> QSymExpr:
 
 def _ssyt_contents(lam) -> dict[tuple[int, ...], int]:
     """Number of semistandard tableaux of the given shape per content
-    composition (rows weakly increase, columns strictly increase)."""
-    return tableau_contents(lam, lambda left, above, value: (
-        (left is None or value >= left) and (above is None or value > above)))
+    composition (rows weakly increase, columns strictly increase).
+
+    The count for a partition mu is the Kostka number K(lam, mu), the
+    number of chains of horizontal strips of sizes mu_1, mu_2, ... that
+    fill lam. Kostka numbers are symmetric in the content, so each
+    rearrangement of mu gets the same count.
+    """
+    out: dict[tuple[int, ...], int] = {}
+    for mu in partitions(sum(lam)):
+        count = _kostka(lam, mu)
+        if count:
+            out.update(dict.fromkeys(distinct_rearrangements(mu), count))
+    return out
+
+
+def _kostka(lam, mu) -> int:
+    """K(lam, mu): the shapes inside lam reached after each strip, with
+    the number of chains reaching each, one strip of mu at a time."""
+    shapes = {(0,) * len(lam): 1}
+    for size in mu:
+        grown: dict = {}
+        for nu, count in shapes.items():
+            for shape in _horizontal_strips(nu, lam, size):
+                grown[shape] = grown.get(shape, 0) + count
+        shapes = grown
+    return shapes.get(lam, 0)
+
+
+def _horizontal_strips(nu, lam, size) -> list:
+    """The shapes inside lam that add a horizontal strip of `size` cells
+    to nu: row i grows to at most the old length of row i - 1."""
+    out = []
+    rows = len(nu)
+
+    def grow(i, left, shape):
+        if i == rows:
+            if not left:
+                out.append(tuple(shape))
+            return
+        top = lam[i] if i == 0 else min(lam[i], nu[i - 1])
+        for add in range(min(top - nu[i], left) + 1):
+            shape.append(nu[i] + add)
+            grow(i + 1, left - add, shape)
+            shape.pop()
+
+    grow(0, size, [])
+    return out
 
 
 def basis_r(kind: str, beta, mu, r) -> QSymExpr:
@@ -435,18 +481,28 @@ def to_sym_basis(f: QSymExpr, kind: str) -> dict[tuple[int, ...], TPoly]:
     """Expand a symmetric f over the chosen symmetric basis.
 
     Returns a partition-indexed map of TPoly coefficients (entries may
-    be fractions). Raises on non-symmetric input.
+    be fractions). Raises on an unknown kind and on non-symmetric input.
+    A symmetric function is fixed by its coefficients at partitions, so
+    each degree solves the square system on the partition rows.
     """
+    if kind not in SYM_KINDS:
+        raise ValueError(f"unknown symmetric basis kind {kind!r}")
     if not is_symmetric(f):
         raise ValueError("expression is not symmetric")
     out: dict[tuple[int, ...], dict[int, Fraction]] = {}
     for n in f.degrees():
-        component = f.homogeneous_component(n)
         lams = list(partitions(n))
-        columns = [dict(basis_sym(kind, lam).terms) for lam in lams]
-        columns = [{k: tpoly.evaluate(c, 1) for k, c in col.items()} for col in columns]
-        for power, coords in _t_slices(component.terms).items():
-            solution = solve_combination(columns, coords)
+        # a row is keyed by its partition's place in lams, an order that
+        # refines dominance, so the Schur system is triangular and its
+        # elimination makes no fill
+        row = {lam: i for i, lam in enumerate(lams)}
+        columns = [{row[k]: c for k, c in basis_sym(kind, lam).terms.items() if k in row}
+                   for lam in lams]
+        # slicing every term keeps the powers of t, and so the output's
+        # order, as they first occur in f
+        for power, coords in _t_slices(f.homogeneous_component(n).terms).items():
+            solution = solve_combination(
+                columns, {row[k]: c for k, c in coords.items() if k in row})
             if solution is None:
                 raise ValueError(f"degree-{n} component is not in the {kind} span")
             for lam, value in zip(lams, solution):

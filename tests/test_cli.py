@@ -293,6 +293,19 @@ def test_inputs_that_used_to_escape_exit_three(capsys, argv, message):
     assert line.startswith("error: ") and message in line
 
 
+def test_unknown_symmetric_kind_exits_three_on_a_zero_expansion(tmp_path, capsys):
+    path = tmp_path / "zero.json"  # a solid cycle: no colouring, expansion 0
+    path.write_text('{"n":3,"edges":[[0,1,"leq"],[1,2,"leq"],[2,0,"leq"],[0,2,"neq"]]}')
+    code = main(["expand", "--basis", "sym:zzz", "--json", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    assert line == "error: unknown symmetric basis kind 'zzz'"
+    code, out = run(capsys, "expand", "--basis", "sym:s", "--json", str(path))
+    assert code == 0 and json.loads(out) == {"basis": "sym:s", "terms": []}
+
+
 def test_degree_zero_bases_and_trial_free_closure_stay_valid(capsys):
     assert main(["bases", "--space", "qsym", "--kind", "M", "--n", "0"]) == 0
     assert main(["verify", "--suite", "r-closure", "--n", "1", "--trials", "0"]) == 0

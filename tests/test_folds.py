@@ -2,8 +2,9 @@
 
 `TermMap.collect` now reads the fiber coordinates of `r_regroup`,
 `r_regroup_tensor`, `to_ncsym_m` and `is_symmetric`, and
-`combinat.tableau_contents` counts the tableaux of `_ssyt_contents`
-and `_immaculate_contents`. The earlier, separate implementations are
+`combinat.tableau_contents` counts the tableaux of `_immaculate_contents`
+(`_ssyt_contents` counts Kostka numbers by horizontal strips and is
+checked here too). The earlier, separate implementations are
 kept here, and only here, as references: results must agree, and so
 must the type, fiber index and details of every error.
 """
