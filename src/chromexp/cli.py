@@ -15,7 +15,6 @@ import argparse
 import functools
 import json
 import sys
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -282,15 +281,12 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--trials must be nonnegative, got {args.trials}")
     if args.n is not None and args.n < 1:
         raise ValueError(f"--n must be positive, got {args.n}")
-    stats = {} if args.stats else None
-    start = time.perf_counter()
     if suite == "oracle":
         result = verify.verify_oracle(trials=_default(args.trials, 200),
                                       max_n=_default(args.n, 5), seed=args.seed)
     elif suite == "hopf":
         result = verify.verify_hopf(trials=_default(args.trials, 50),
-                                    max_n=_default(args.n, 4), seed=args.seed,
-                                    stats=stats)
+                                    max_n=_default(args.n, 4), seed=args.seed)
     elif suite == "tables":
         n = _default(args.n, 5)
         result = verify.verify_tables(n=n, sym_n=min(n, 4))
@@ -301,10 +297,7 @@ def _cmd_verify(args) -> int:
                                          trials=_default(args.trials, 20))
     else:  # unreachable through argparse choices
         raise ValueError(f"unknown suite {suite!r}")
-    if stats is not None and suite != "hopf":  # one entry for the whole suite
-        stats[suite] = {"checks": result.checks,
-                        "seconds": time.perf_counter() - start}
-    _report_stats(stats)
+    _report_stats(result.stats if args.stats else None)
     _emit(result.to_json())
     return 0 if result.ok else 1
 
@@ -434,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--stats", action="store_true",
                      help="write the check count and seconds per identity to "
                           "stderr as one JSON line")
-    _common_flags(sub)
     sub.set_defaults(func=_cmd_verify)
 
     sub = subs.add_parser("bases", help="list basis expansions")
@@ -443,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--r", type=r_value_from_json, default=2)
     sub.add_argument("--kind", required=True)
-    _common_flags(sub)
     sub.set_defaults(func=_cmd_bases)
 
     sub = subs.add_parser("mr", help="fundamental image of a permutation")

@@ -295,7 +295,7 @@ def ground_set(blocks) -> frozenset[int]:
 
 def shape(blocks) -> tuple[int, ...]:
     """Block sizes in block order (a composition)."""
-    return tuple(len(b) for b in blocks)
+    return tuple(map(len, blocks))
 
 
 def shape_partition(blocks) -> tuple[int, ...]:
@@ -815,7 +815,8 @@ def composition_sort_key(alpha):
 
 
 def set_composition_sort_key(phi):
-    return (sum(len(b) for b in phi), shape(phi), phi)
+    sizes = tuple(map(len, phi))
+    return (sum(sizes), sizes, phi)
 
 
 def format_composition(alpha) -> str:

@@ -265,43 +265,39 @@ class TensorMap(TermMap):
     coproducts. A subclass names its leg class, as in
     `class QSymTensor(TensorMap, leg=QSymExpr)`, which keeps it as `_leg`
     and gives the subclass the pair forms of the leg's `_key`,
-    `_sort_key` and `_name`."""
+    `_sort_key`, `_name` and `_shuffle_groups`."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, leg, **kwargs):
         super().__init_subclass__(**kwargs)
         key, sort_key, name = leg._key, leg._sort_key, leg._name
+        groups = leg._shuffle_groups
 
         def pair_key(pair):
             left, right = pair
             return key(left), key(right)
 
+        def pair_groups(a, b):
+            """Each pair of a left and a right group of the legs' shuffles,
+            with the product of their multiplicities."""
+            right = groups(a[1], b[1])
+            return [(count1 * count2, [(g1, g2) for g1 in left_paths for g2 in right_paths])
+                    for count1, left_paths in groups(a[0], b[0])
+                    for count2, right_paths in right]
+
         cls._leg = leg
         cls._key = staticmethod(pair_key)
         cls._sort_key = staticmethod(lambda pair: (sort_key(pair[0]), sort_key(pair[1])))
         cls._name = staticmethod(lambda pair: f"{name(pair[0])} (x) {name(pair[1])}")
+        cls._shuffle_groups = staticmethod(pair_groups)
 
     def __mul__(self, other):
-        """Componentwise product (a x b)(c x d) = ac x bd, each pair of
-        distinct shuffle paths carrying the product of the coefficients
-        times the product of the paths' multiplicities."""
+        """Componentwise product (a x b)(c x d) = ac x bd. Only another
+        tensor of the same class multiplies; a scalar does not."""
         if not isinstance(other, type(self)):
             return NotImplemented
-        groups = self._leg._shuffle_groups
-        out: dict = {}
-        for (a1, a2), ca in self.terms.items():
-            for (b1, b2), cb in other.terms.items():
-                coeff = ca * cb
-                right = groups(a2, b2)
-                for count1, left_paths in groups(a1, b1):
-                    for count2, right_paths in right:
-                        count = count1 * count2
-                        c = coeff * count if count > 1 else coeff
-                        for g1 in left_paths:
-                            for g2 in right_paths:
-                                _merge(out, (g1, g2), c)
-        return self._of(out)
+        return TermMap.__mul__(self, other)
 
     @classmethod
     def of_legs(cls, f, g):

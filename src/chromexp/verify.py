@@ -1,11 +1,14 @@
 """Seeded verification suites behind the command-line `verify`
 subcommand: oracle agreement, the Hopf identities, the basis tables,
-and the r-level closure. Each suite returns a result object carrying a
-machine-readable counterexample when something fails."""
+and the r-level closure. Each suite yields its checks to one runner,
+which counts and times them per identity and returns a result object
+carrying a machine-readable counterexample when something fails."""
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -52,6 +55,8 @@ class VerifyResult:
     checks: int = 0
     counterexample: dict | None = None
     notes: list = field(default_factory=list)
+    # identity -> {"checks", "seconds"}; to_json leaves it out
+    stats: dict = field(default_factory=dict, compare=False)
 
     def fail(self, **info):
         if self.ok:
@@ -66,6 +71,44 @@ class VerifyResult:
             "counterexample": self.counterexample,
             "notes": self.notes,
         }
+
+
+def _run(suite: str, checks) -> VerifyResult:
+    """Run a suite's checks, each an (identity, holds, where) triple, and
+    stop at the first that fails, with the counterexample fields where()
+    gives. Each identity's stats count its checks and the seconds since
+    the check before, building its inputs included. where() may read the
+    suite's loop variables, so it runs before the suite resumes."""
+    result = VerifyResult(suite)
+    mark = time.perf_counter()
+    for identity, holds, where in checks:
+        now = time.perf_counter()
+        entry = result.stats.setdefault(identity, {"checks": 0, "seconds": 0.0})
+        entry["checks"] += 1
+        entry["seconds"] += now - mark
+        mark = now
+        result.checks += 1
+        if not holds:
+            result.fail(**where())
+            break
+    return result
+
+
+def _suite(name: str):
+    """Make a generator of checks into a suite function: called with the
+    generator's arguments, it returns the VerifyResult of `_run`."""
+    def wrap(checks):
+        @functools.wraps(checks)
+        def run(*args, **kwargs) -> VerifyResult:
+            return _run(name, checks(*args, **kwargs))
+        return run
+    return wrap
+
+
+def _check(holds, **where):
+    """A check named by the value of its counterexample's first field,
+    all of whose fields are known when it is made."""
+    return next(iter(where.values())), holds, lambda: where
 
 
 # ---------------------------------------------------------------------------
@@ -96,32 +139,24 @@ def random_labelled_digraph(rng: random.Random, max_n: int,
 # ---------------------------------------------------------------------------
 # oracle agreement
 
-def verify_oracle(trials: int = 200, max_n: int = 5, seed: int = 0) -> VerifyResult:
+@_suite("oracle")
+def verify_oracle(trials: int = 200, max_n: int = 5, seed: int = 0):
     """Symbolic expansion versus literal colouring enumeration, with the
     full t-grading, in both commuting and noncommuting variables."""
-    result = VerifyResult("oracle")
     rng = random.Random(seed)
     for trial in range(trials):
         g = random_digraph(rng, max_n)
-        k = g.n
-        report = oracle.assert_equal(oracle.realize(chromatic.expand(g), k),
-                                     oracle.direct_expand(g, k))
-        result.checks += 1
-        if not report.ok:
-            result.fail(trial=trial, seed=seed, digraph=digraph_to_json(g),
-                        detail=report.detail)
-            return result
+        report = oracle.assert_equal(oracle.realize(chromatic.expand(g), g.n),
+                                     oracle.direct_expand(g, g.n))
+        yield "expand", report.ok, lambda: dict(
+            trial=trial, seed=seed, digraph=digraph_to_json(g), detail=report.detail)
         if trial % 4 == 0:
             lg = random_labelled_digraph(rng, max_n)
             report = oracle.assert_equal(
                 oracle.realize_nc(expand_nc(lg), lg.graph.n),
                 oracle.direct_expand_nc(lg, lg.graph.n))
-            result.checks += 1
-            if not report.ok:
-                result.fail(trial=trial, seed=seed, digraph=digraph_to_json(lg),
-                            detail=report.detail)
-                return result
-    return result
+            yield "expand-nc", report.ok, lambda: dict(
+                trial=trial, seed=seed, digraph=digraph_to_json(lg), detail=report.detail)
 
 
 # ---------------------------------------------------------------------------
@@ -148,94 +183,59 @@ def _counit_legs(tensor):
     return {a: c for (a, b), c in terms if not b}, {b: c for (a, b), c in terms if not a}
 
 
-def verify_hopf(trials: int = 50, max_n: int = 4, seed: int = 0,
-                stats: dict | None = None) -> VerifyResult:
+@_suite("hopf")
+def verify_hopf(trials: int = 50, max_n: int = 4, seed: int = 0):
     """Product and coproduct identities, digraph side against algebra
-    side, plus coassociativity, compatibility, and the counit.
-
-    When `stats` is a dict, it maps each identity to its check count and
-    the seconds since the check before it (building its inputs included).
-    """
-    result = VerifyResult("hopf")
+    side, plus coassociativity, compatibility, and the counit."""
     rng = random.Random(seed)
-    mark = time.perf_counter()
 
-    def check(identity, holds, g, other=None) -> bool:
-        nonlocal mark
-        result.checks += 1
-        if stats is not None:
-            now = time.perf_counter()
-            entry = stats.setdefault(identity, {"checks": 0, "seconds": 0.0})
-            entry["checks"] += 1
-            entry["seconds"] += now - mark
-            mark = now
-        if not holds:
-            graphs = {"digraph": digraph_to_json(g)}
-            if other is not None:
-                graphs["other"] = digraph_to_json(other)
-            result.fail(identity=identity, trial=trial, seed=seed, **graphs)
-        return holds
+    def check(identity, holds, *graphs):  # where() reads the current trial
+        return identity, holds, lambda: {
+            "identity": identity, "trial": trial, "seed": seed,
+            **dict(zip(("digraph", "other"), map(digraph_to_json, graphs)))}
 
     for trial in range(trials):
         g1 = random_digraph(rng, max_n)
         g2 = random_digraph(rng, max_n)
         f1, f2 = chromatic.expand(g1), chromatic.expand(g2)
-        if not check("product",
-                     f1 * f2 == chromatic.expand(gr.combine("disjoint", g1, g2)), g1, g2):
-            return result
+        yield check("product",
+                    f1 * f2 == chromatic.expand(gr.combine("disjoint", g1, g2)), g1, g2)
 
         lg1 = random_labelled_digraph(rng, max_n)
         lg2 = random_labelled_digraph(rng, max_n)
         y1, y2 = expand_nc(lg1), expand_nc(lg2)
         disjoint = gr.combine_labelled("disjoint", lg1, lg2, shift=True)
-        if not check("nc-product", y1 * y2 == expand_nc(disjoint), lg1, lg2):
-            return result
+        yield check("nc-product", y1 * y2 == expand_nc(disjoint), lg1, lg2)
 
         g = random_digraph(rng, max_n)
-        if not check("coproduct",
-                     chromatic.coproduct_digraph(g) == coproduct(chromatic.expand(g).at_t(1)),
-                     g):
-            return result
-
-        lg = random_labelled_digraph(rng, max_n)
-        if not check("nc-coproduct",
-                     ncqsym.coproduct_nc_digraph(lg) == coproduct_nc(expand_nc(lg).at_t(1)),
-                     lg):
-            return result
-
-        # coassociativity, compatibility, counit on the same samples
         f = chromatic.expand(g).at_t(1)
         delta = coproduct(f)
-        if not check("coassociativity",
-                     _triple_splits(delta, True) == _triple_splits(delta, False),
-                     g):
-            return result
-        left, right = _counit_legs(delta)
-        if not check("counit", QSymExpr._of(left) == f and QSymExpr._of(right) == f, g):
-            return result
-        pair = f1.at_t(1), f2.at_t(1)
-        if not check("bialgebra",
-                     coproduct(pair[0] * pair[1]) == coproduct(pair[0]) * coproduct(pair[1]),
-                     g1, g2):
-            return result
+        yield check("coproduct", chromatic.coproduct_digraph(g) == delta, g)
 
-        y = expand_nc(lg).at_t(1)
-        delta_nc = coproduct_nc(y)
-        if not check("nc-coassociativity",
-                     _triple_splits(delta_nc, True) == _triple_splits(delta_nc, False),
-                     lg):
-            return result
+        lg = random_labelled_digraph(rng, max_n)
+        delta_nc = coproduct_nc(expand_nc(lg).at_t(1))
+        yield check("nc-coproduct", ncqsym.coproduct_nc_digraph(lg) == delta_nc, lg)
+
+        # coassociativity, compatibility, counit on the same samples
+        yield check("coassociativity",
+                    _triple_splits(delta, True) == _triple_splits(delta, False), g)
+        left, right = _counit_legs(delta)
+        yield check("counit", QSymExpr._of(left) == f and QSymExpr._of(right) == f, g)
+        pair = f1.at_t(1), f2.at_t(1)
+        yield check("bialgebra",
+                    coproduct(pair[0] * pair[1]) == coproduct(pair[0]) * coproduct(pair[1]),
+                    g1, g2)
+
+        yield check("nc-coassociativity",
+                    _triple_splits(delta_nc, True) == _triple_splits(delta_nc, False), lg)
         pair = y1.at_t(1), y2.at_t(1)
-        if not check("nc-bialgebra",
-                     coproduct_nc(pair[0] * pair[1])
-                     == coproduct_nc(pair[0]) * coproduct_nc(pair[1]),
-                     lg1, lg2):
-            return result
+        yield check("nc-bialgebra",
+                    coproduct_nc(pair[0] * pair[1])
+                    == coproduct_nc(pair[0]) * coproduct_nc(pair[1]),
+                    lg1, lg2)
 
         # the commutation map is an algebra map
-        if not check("rho-algebra-map", rho(y1 * y2) == rho(y1) * rho(y2), lg1, lg2):
-            return result
-    return result
+        yield check("rho-algebra-map", rho(y1 * y2) == rho(y1) * rho(y2), lg1, lg2)
 
 
 # ---------------------------------------------------------------------------
@@ -267,119 +267,106 @@ def _ncsym_direct(pi, n, meets) -> NCQSymExpr:
     return NCQSymExpr(terms)
 
 
-def verify_tables(n: int = 5, sym_n: int = 4) -> VerifyResult:
+def _scalar_vector(f) -> dict:
+    """The coefficients of f at t = 1, as Fractions for exact_rank."""
+    return {k: Fraction(evaluate(c, 1)) for k, c in f.terms.items()}
+
+
+@_suite("tables")
+def verify_tables(n: int = 5, sym_n: int = 4):
     """Every basis-table row identity up to degree n (degree sym_n for
     the symmetrized constructions), plus the tableau oracles and the
     augmented-scaling identities."""
-    result = VerifyResult("tables")
-
-    def check(condition, **info):
-        result.checks += 1
-        if not condition:
-            result.fail(**info)
-        return result.ok
-
     for m in range(n + 1):
         for lam in partitions(m):
             for kind in ("m", "maug", "e", "eaug", "h", "p", "s"):
-                if not check(
-                        qsym.basis_sym(kind, lam)
-                        == chromatic.expand(gr.sym_basis_digraph(kind, lam)).at_t(1),
-                        table="sym", kind=kind, index=list(lam)):
-                    return result
-            if not check(qsym.basis_sym("maug", lam)
+                yield _check(qsym.basis_sym(kind, lam)
+                             == chromatic.expand(gr.sym_basis_digraph(kind, lam)).at_t(1),
+                             table="sym", kind=kind, index=list(lam))
+            yield _check(qsym.basis_sym("maug", lam)
                          == qsym.basis_sym("m", lam).scale(lambda_superfactorial(lam)),
-                         table="sym", kind="maug-scaling", index=list(lam)):
-                return result
-            if not check(qsym.basis_sym("eaug", lam)
+                         table="sym", kind="maug-scaling", index=list(lam))
+            yield _check(qsym.basis_sym("eaug", lam)
                          == qsym.basis_sym("e", lam).scale(lambda_factorial(lam)),
-                         table="sym", kind="eaug-scaling", index=list(lam)):
-                return result
+                         table="sym", kind="eaug-scaling", index=list(lam))
 
         for alpha in compositions(m):
             for kind, maker in (("M", qsym.basis_M), ("F", qsym.basis_F),
                                 ("Fbar", qsym.basis_Fbar)):
-                if not check(
-                        maker(alpha)
-                        == chromatic.expand(gr.qsym_basis_digraph(kind, alpha)).at_t(1),
-                        table="qsym", kind=kind, index=list(alpha)):
-                    return result
+                yield _check(maker(alpha)
+                             == chromatic.expand(gr.qsym_basis_digraph(kind, alpha)).at_t(1),
+                             table="qsym", kind=kind, index=list(alpha))
             # upper-fundamental expansion identity
-            if not check(qsym.basis_Fbar(alpha)
+            yield _check(qsym.basis_Fbar(alpha)
                          == QSymExpr({g: 1 for g in coarsenings(alpha)}),
-                         table="qsym", kind="Fbar-coarsening", index=list(alpha)):
-                return result
+                         table="qsym", kind="Fbar-coarsening", index=list(alpha))
             # composition grids against the tableau oracle
             for row_strict in (False, True):
                 grid_fn = (chromatic.row_strict_dual_immaculate if row_strict
                            else chromatic.dual_immaculate)
                 want = QSymExpr(_immaculate_contents(alpha, row_strict))
-                if not check(grid_fn(alpha) == want, table="grid",
-                             row_strict=row_strict, index=list(alpha)):
-                    return result
+                yield _check(grid_fn(alpha) == want, table="grid",
+                             row_strict=row_strict, index=list(alpha))
 
         for phi in set_compositions(m):
             for kind in ("M", "F", "Fbar"):
-                if not check(
-                        basis_nc(kind, phi)
-                        == expand_nc(gr.ncqsym_basis_digraph(kind, phi)).at_t(1),
-                        table="ncqsym", kind=kind, index=[list(b) for b in phi]):
-                    return result
+                yield _check(basis_nc(kind, phi)
+                             == expand_nc(gr.ncqsym_basis_digraph(kind, phi)).at_t(1),
+                             table="ncqsym", kind=kind, index=[list(b) for b in phi])
 
         for pi in set_partitions(m):
-            if not check(basis_ncsym("m", pi) == ncsym_m_expr(pi),
-                         table="ncsym", kind="m", index=[list(b) for b in pi]):
-                return result
-            if not check(basis_ncsym("p", pi) == _ncsym_direct(pi, m, lambda block: 1),
-                         table="ncsym", kind="p", index=[list(b) for b in pi]):
-                return result
-            if not check(basis_ncsym("e", pi) == _ncsym_direct(pi, m, len),
-                         table="ncsym", kind="e", index=[list(b) for b in pi]):
-                return result
+            index = [list(b) for b in pi]
+            yield _check(basis_ncsym("m", pi) == ncsym_m_expr(pi),
+                         table="ncsym", kind="m", index=index)
+            yield _check(basis_ncsym("p", pi) == _ncsym_direct(pi, m, lambda block: 1),
+                         table="ncsym", kind="p", index=index)
+            yield _check(basis_ncsym("e", pi) == _ncsym_direct(pi, m, len),
+                         table="ncsym", kind="e", index=index)
             if m <= sym_n:
-                if not check(basis_ncsym("e", pi) == basis_ncsym_e_paths(pi),
-                             table="ncsym", kind="e-paths", index=[list(b) for b in pi]):
-                    return result
-                if not check(basis_ncsym("h", pi) == ncsym_h_meet(pi),
-                             table="ncsym", kind="h", index=[list(b) for b in pi]):
-                    return result
+                yield _check(basis_ncsym("e", pi) == basis_ncsym_e_paths(pi),
+                             table="ncsym", kind="e-paths", index=index)
+                yield _check(basis_ncsym("h", pi) == ncsym_h_meet(pi),
+                             table="ncsym", kind="h", index=index)
 
         # full symmetrization of the labelled grid, by shape
         if 1 <= m <= sym_n:
-            import math
             shapes = {}
             for pi in set_partitions(m):
                 lam = shape_partition(pi)
                 s_pi = shapes.get(lam)
                 if s_pi is None:
                     s_pi = shapes[lam] = basis_ncsym("S", pi)
-                if not check(rho(s_pi) == qsym.basis_sym("s", lam).scale(math.factorial(m)),
-                             table="ncsym", kind="S-rho", index=[list(b) for b in pi]):
-                    return result
+                yield _check(rho(s_pi) == qsym.basis_sym("s", lam).scale(math.factorial(m)),
+                             table="ncsym", kind="S-rho", index=[list(b) for b in pi])
             values = list(shapes.values())
             for a, b in itertools.combinations(values, 2):
-                if not check(a != b, table="ncsym", kind="S-distinct", index=m):
-                    return result
-            vectors = [{k: Fraction(evaluate(c, 1)) for k, c in s.terms.items()}
-                       for s in values]
-            if not check(exact_rank(vectors) == len(values),
-                         table="ncsym", kind="S-span", index=m):
-                return result
-    return result
+                yield _check(a != b, table="ncsym", kind="S-distinct", index=m)
+            yield _check(exact_rank(list(map(_scalar_vector, values))) == len(values),
+                         table="ncsym", kind="S-span", index=m)
 
 
 # ---------------------------------------------------------------------------
 # the r-level structure
 
+def _closes(regroup, f, r, **where):
+    """A closure check: regroup(f, r) raises no RegroupError. A failure's
+    counterexample ends with the error's text."""
+    try:
+        regroup(f, r)
+    except RegroupError as err:
+        return _check(False, **where, detail=str(err))
+    return _check(True, **where)
+
+
+@_suite("r-closure")
 def verify_r_closure(n_qsym: int = 5, n_nc: int = 4, r: int = 2,
-                     seed: int = 0, trials: int = 20) -> VerifyResult:
+                     seed: int = 0, trials: int = 20):
     """Rank checks for the four commutative r-bases and the two
     noncommutative ones, plus regrouping of sampled products and
     coproducts (the Hopf-closure argument)."""
     if trials > 0 and n_nc < 1:
         raise ValueError("closure trials need samples of degree 1 or more: "
                          f"n_nc is {n_nc}")
-    result = VerifyResult("r-closure")
     rng = random.Random(seed)
 
     for m in range(n_qsym + 1):
@@ -388,30 +375,20 @@ def verify_r_closure(n_qsym: int = 5, n_nc: int = 4, r: int = 2,
             vectors = []
             for rc in rcs:
                 f = qsym.basis_r(kind, rc.beta, rc.mu, r)
-                vectors.append({k: Fraction(evaluate(c, 1)) for k, c in f.terms.items()})
-                result.checks += 1
-                if not qsym.in_qsym_r(f, r):
-                    result.fail(part="qsym-span", kind=kind, degree=m,
-                                index=combinat.r_composition_to_json(rc))
-                    return result
-            result.checks += 1
-            if exact_rank(vectors) != len(rcs):
-                result.fail(part="qsym-rank", kind=kind, degree=m, expected=len(rcs))
-                return result
+                vectors.append(_scalar_vector(f))
+                yield _check(qsym.in_qsym_r(f, r), part="qsym-span", kind=kind, degree=m,
+                             index=combinat.r_composition_to_json(rc))
+            yield _check(exact_rank(vectors) == len(rcs),
+                         part="qsym-rank", kind=kind, degree=m, expected=len(rcs))
 
     all_rscs = []
     for m in range(n_nc + 1):
         rscs = list(r_set_compositions(m, r))
         all_rscs.extend(rscs)
         for kind in ("M", "Fbar"):
-            vectors = []
-            for rsc in rscs:
-                f = basis_ncr(kind, rsc.phi, rsc.pi, r)
-                vectors.append({k: Fraction(evaluate(c, 1)) for k, c in f.terms.items()})
-            result.checks += 1
-            if exact_rank(vectors) != len(rscs):
-                result.fail(part="ncqsym-rank", kind=kind, degree=m, expected=len(rscs))
-                return result
+            vectors = [_scalar_vector(basis_ncr(kind, rsc.phi, rsc.pi, r)) for rsc in rscs]
+            yield _check(exact_rank(vectors) == len(rscs),
+                         part="ncqsym-rank", kind=kind, degree=m, expected=len(rscs))
 
     positive = [rsc for rsc in all_rscs if rsc.ground()]
     for trial in range(trials):
@@ -419,23 +396,11 @@ def verify_r_closure(n_qsym: int = 5, n_nc: int = 4, r: int = 2,
         b = rng.choice(positive)
         fa = basis_ncr("M", a.phi, a.pi, r)
         fb = basis_ncr("M", b.phi, b.pi, r)
-        result.checks += 1
-        try:
-            r_regroup(fa * fb, r)
-        except RegroupError as err:
-            result.fail(part="product-closure", trial=trial, seed=seed,
-                        left=combinat.r_set_composition_to_json(a),
-                        right=combinat.r_set_composition_to_json(b),
-                        detail=str(err))
-            return result
-        result.checks += 1
-        try:
-            r_regroup_tensor(coproduct_nc(fa), r)
-        except RegroupError as err:
-            result.fail(part="coproduct-closure", trial=trial, seed=seed,
-                        left=combinat.r_set_composition_to_json(a), detail=str(err))
-            return result
-    return result
+        left = combinat.r_set_composition_to_json(a)
+        yield _closes(r_regroup, fa * fb, r, part="product-closure", trial=trial, seed=seed,
+                      left=left, right=combinat.r_set_composition_to_json(b))
+        yield _closes(r_regroup_tensor, coproduct_nc(fa), r, part="coproduct-closure",
+                      trial=trial, seed=seed, left=left)
 
 
 SUITES = {

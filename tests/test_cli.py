@@ -148,6 +148,16 @@ def test_usage_error_exits_two():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "tables", "--n", "1"),
+    ("bases", "--space", "qsym", "--n", "2", "--kind", "M"),
+])
+def test_pretty_is_not_a_flag_of_verify_or_bases(argv):
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--pretty"])
+    assert err.value.code == 2
+
+
 def test_validation_error_exits_three(capsys):
     code, _ = run(capsys, "expand", "--dsl", "C(0)")
     assert code == 3
@@ -236,8 +246,13 @@ HOPF_IDENTITIES = {"product", "nc-product", "coproduct", "nc-coproduct", "coasso
 
 
 def test_verify_stats_leave_stdout_unchanged(capsys):
-    for suite, extra, names in (("hopf", ("--trials", "2", "--n", "3"), HOPF_IDENTITIES),
-                                ("tables", ("--n", "2"), {"tables"})):
+    for suite, extra, names in (
+            ("hopf", ("--trials", "2", "--n", "3"), HOPF_IDENTITIES),
+            ("oracle", ("--trials", "5", "--n", "3"), {"expand", "expand-nc"}),
+            ("tables", ("--n", "2"), {"sym", "qsym", "grid", "ncqsym", "ncsym"}),
+            ("r-closure", ("--trials", "2", "--n", "2"),
+             {"qsym-span", "qsym-rank", "ncqsym-rank", "product-closure",
+              "coproduct-closure"})):
         argv = ["verify", "--suite", suite, *extra]
         assert main(argv) == 0
         plain = capsys.readouterr()
