@@ -23,7 +23,7 @@ from .graph import (
     is_k_balanced,
     orientations,
 )
-from .qsym import QSymExpr, QSymTensor, tensor
+from .qsym import QSymExpr, QSymTensor
 from .tpoly import TPoly
 
 
@@ -200,20 +200,21 @@ def split_dashed(g: EdgeColouredDigraph, edge):
     return g_lt, g_gt
 
 
-def closed_subset_sum(g: EdgeColouredDigraph, part, tensor_of):
-    """Digraph-side coproduct at t = 1: the sum over the vertex subsets
-    closed under outgoing solid and double edges of tensor_of(expansion
-    off the subset, expansion on the subset), where part(vertices)
-    expands the part of the input induced on those vertices of g."""
+def closed_subset_sum(g: EdgeColouredDigraph, part, tensor_cls):
+    """Digraph-side coproduct at t = 1: the sum in tensor_cls over the
+    vertex subsets closed under outgoing solid and double edges of the
+    tensor (expansion off the subset) (x) (expansion on the subset),
+    where part(vertices) expands the part of the input induced on those
+    vertices of g."""
     vertices = set(range(g.n))
-    first, *rest = (tensor_of(part(vertices - set(subset)).at_t(1), part(subset).at_t(1))
-                    for subset in closed_subsets(g))
-    return sum(rest, first)
+    return tensor_cls.sum_of(
+        tensor_cls.of_legs(part(vertices - set(subset)).at_t(1), part(subset).at_t(1))
+        for subset in closed_subsets(g))
 
 
 def coproduct_digraph(g: EdgeColouredDigraph) -> QSymTensor:
     """Digraph-side coproduct at t = 1 (see closed_subset_sum)."""
-    return closed_subset_sum(g, lambda part: expand(induced(g, part)), tensor)
+    return closed_subset_sum(g, lambda part: expand(induced(g, part)), QSymTensor)
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +262,8 @@ def humpert(h: SimpleGraph, k: int) -> QSymExpr:
     sum of expansions of the k-balanced all-solid orientations."""
     if k < 1:
         raise ValueError("k must be positive")
-    out = QSymExpr.zero()
-    for orientation in orientations(h, LT):
-        if is_k_balanced(orientation, k):
-            out = out + expand(orientation).at_t(1)
-    return out
+    return QSymExpr.sum_of(expand(orientation).at_t(1) for orientation in orientations(h, LT)
+                           if is_k_balanced(orientation, k))
 
 
 def humpert_direct(h: SimpleGraph, k: int) -> QSymExpr:

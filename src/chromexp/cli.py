@@ -230,7 +230,7 @@ def _cmd_poly(args) -> int:
     f = _ALGEBRAS[False].expand(g, None).at_t(1)
     poly = qsym.chromatic_polynomial(f)
     if args.eval is not None:
-        value = qsym.evaluate_ones(f, args.eval)
+        value = poly(args.eval)
         if args.pretty:
             print(value)
         else:
@@ -310,9 +310,8 @@ def _basis_elements(space, n, r, kind) -> list:
             return [(alpha, maker(alpha)) for alpha in compositions(n)]
         return [(lam, qsym.basis_sym(kind, lam)) for lam in partitions(n)]
     if space == "ncqsym":
-        if kind in ("M", "F", "Fbar"):  # set_compositions yields canonical keys
-            maker = ncqsym.basis_nc if kind == "M" else ncqsym._basis_nc_canonical
-            return [(phi, maker(kind, phi)) for phi in set_compositions(n)]
+        if kind in ("M", "F", "Fbar"):
+            return [(phi, ncqsym.basis_nc(kind, phi)) for phi in set_compositions(n)]
         return [(pi, ncqsym.basis_ncsym(kind, pi)) for pi in set_partitions(n)]
     if space == "qsym-r":
         return [(combinat.r_composition_to_json(rc), qsym.basis_r(kind, rc.beta, rc.mu, r))

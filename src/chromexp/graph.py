@@ -358,7 +358,6 @@ class Contraction:
     """
 
     classes: tuple
-    class_of: tuple[int, ...]
     weights: tuple[int, ...]
     feasible: bool
     edges: tuple
@@ -382,7 +381,6 @@ def contract(g: EdgeColouredDigraph) -> Contraction:
             class_edges.append((cu, cv, c))
     return Contraction(
         classes=tuple(tuple(sorted(comp)) for comp in comps),
-        class_of=tuple(class_of),
         weights=tuple(len(comp) for comp in comps),
         feasible=feasible,
         edges=tuple(class_edges),
@@ -527,92 +525,62 @@ def colouring_orientation(h: SimpleGraph, colours) -> EdgeColouredDigraph:
 # ---------------------------------------------------------------------------
 # digraphs realizing basis elements
 
+# kind -> (combination, atom) for the bases whose element is one chain
+# of atoms over the parts of its index
+_QSYM_RECIPES = {"M": ("solid", "C"), "F": ("solid", "Q"), "Fbar": ("double", "C")}
+_SYM_RECIPES = {"maug": ("dashed", "C"), "e": ("disjoint", "P"), "eaug": ("disjoint", "K"),
+                "h": ("disjoint", "Q"), "p": ("disjoint", "C")}
+_NCSYM_RECIPES = {"m": ("dashed", "C"), "p": ("disjoint", "C"), "e": ("disjoint", "K")}
+# r-level kind -> (QSym kind of the composition side, Sym kind of the partition side)
+_R_SIDES = {"M": ("M", "maug"), "S": ("M", "s"), "Fbar": ("Fbar", "maug"), "Sbar": ("Fbar", "s")}
+
+
+def _recipe(table: dict, kind: str, unknown: str):
+    if kind not in table:
+        raise ValueError(f"{unknown} {kind!r}")
+    return table[kind]
+
+
 def sym_basis_digraph(kind: str, lam) -> EdgeColouredDigraph:
     """The digraph whose expansion is the given symmetric-function basis
     element: m, maug, e, eaug, h, p, or s."""
     lam = partition(lam)
-    if kind == "m":
-        groups = []
-        for size, grp in itertools.groupby(lam):
-            copies = len(list(grp))
-            groups.append(combine_chain("solid", [atom("C", size)] * copies))
-        return combine_chain("dashed", groups)
-    if kind == "maug":
-        return combine_chain("dashed", [atom("C", p) for p in lam])
-    if kind == "e":
-        return combine_chain("disjoint", [atom("P", p) for p in lam])
-    if kind == "eaug":
-        return combine_chain("disjoint", [atom("K", p) for p in lam])
-    if kind == "h":
-        return combine_chain("disjoint", [atom("Q", p) for p in lam])
-    if kind == "p":
-        return combine_chain("disjoint", [atom("C", p) for p in lam])
+    if kind == "m":  # solid chains over the runs of equal parts, in a dashed chain
+        return combine_chain("dashed", [combine_chain("solid", [atom("C", p) for p in run])
+                                        for _, run in itertools.groupby(lam)])
     if kind == "s":
         return grid(lam)
-    raise ValueError(f"unknown symmetric basis kind {kind!r}")
+    combination, atom_kind = _recipe(_SYM_RECIPES, kind, "unknown symmetric basis kind")
+    return combine_chain(combination, [atom(atom_kind, p) for p in lam])
 
 
 def qsym_basis_digraph(kind: str, alpha) -> EdgeColouredDigraph:
     """The digraph whose expansion is M, F, or Fbar at the composition."""
     alpha = composition(alpha)
-    if kind == "M":
-        return combine_chain("solid", [atom("C", p) for p in alpha])
-    if kind == "F":
-        return combine_chain("solid", [atom("Q", p) for p in alpha])
-    if kind == "Fbar":
-        return combine_chain("double", [atom("C", p) for p in alpha])
-    raise ValueError(f"unknown quasisymmetric basis kind {kind!r}")
+    combination, atom_kind = _recipe(_QSYM_RECIPES, kind, "unknown quasisymmetric basis kind")
+    return combine_chain(combination, [atom(atom_kind, p) for p in alpha])
 
 
 def r_basis_digraph(kind: str, beta, mu) -> EdgeColouredDigraph:
-    """Digraph for an r-level basis element: kind M, S, Fbar, or Sbar.
-
-    The composition side is a solid (M, S) or double (Fbar, Sbar) chain
-    of double cycles; the partition side is a dashed chain of double
-    cycles (M, Fbar) or the partition grid (S, Sbar); the two sides are
-    joined by a dashed sum.
-    """
+    """Digraph for an r-level basis element (kind M, S, Fbar, or Sbar):
+    the dashed sum of a QSym and a Sym basis digraph (see _R_SIDES)."""
     beta = composition(beta)
     mu = partition(mu)
-    if kind in ("M", "S"):
-        left = combine_chain("solid", [atom("C", p) for p in beta])
-    elif kind in ("Fbar", "Sbar"):
-        left = combine_chain("double", [atom("C", p) for p in beta])
-    else:
-        raise ValueError(f"unknown r-basis kind {kind!r}")
-    if kind in ("M", "Fbar"):
-        right = combine_chain("dashed", [atom("C", p) for p in mu])
-    else:
-        right = grid(mu)
-    return combine("dashed", left, right)
+    left, right = _recipe(_R_SIDES, kind, "unknown r-basis kind")
+    return combine("dashed", qsym_basis_digraph(left, beta), sym_basis_digraph(right, mu))
 
 
 def ncqsym_basis_digraph(kind: str, phi) -> LabelledDigraph:
     """Labelled digraph for M, F, or Fbar at a set composition."""
-    if kind == "M":
-        return combine_chain_labelled("solid", [atom_labelled("C", b) for b in phi])
-    if kind == "F":
-        return combine_chain_labelled("solid", [atom_labelled("Q", b) for b in phi])
-    if kind == "Fbar":
-        return combine_chain_labelled("double", [atom_labelled("C", b) for b in phi])
-    raise ValueError(f"unknown noncommutative basis kind {kind!r}")
+    combination, atom_kind = _recipe(_QSYM_RECIPES, kind, "unknown noncommutative basis kind")
+    return combine_chain_labelled(combination, [atom_labelled(atom_kind, b) for b in phi])
 
 
 def ncsym_basis_digraph(kind: str, pi) -> LabelledDigraph:
     """Labelled digraph for the single-digraph NCSym bases: m, p, or e."""
-    if kind == "m":
-        return combine_chain_labelled("dashed", [atom_labelled("C", b) for b in pi])
-    if kind == "p":
-        return combine_chain_labelled("disjoint", [atom_labelled("C", b) for b in pi])
-    if kind == "e":
-        return combine_chain_labelled("disjoint", [atom_labelled("K", b) for b in pi])
-    raise ValueError(f"no single digraph for NCSym basis kind {kind!r}")
-
-
-def schur_labelled(lam) -> LabelledDigraph:
-    """The partition grid labelled 1..n along rows (row-reading order)."""
-    lam = partition(lam)
-    return labelled(grid(lam))
+    combination, atom_kind = _recipe(_NCSYM_RECIPES, kind,
+                                     "no single digraph for NCSym basis kind")
+    return combine_chain_labelled(combination, [atom_labelled(atom_kind, b) for b in pi])
 
 
 # ---------------------------------------------------------------------------

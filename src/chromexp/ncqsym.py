@@ -147,7 +147,7 @@ def coproduct_nc_digraph(lg: LabelledDigraph) -> NCQSymTensor:
     factors."""
     lg = standardize_labels(lg)
     return closed_subset_sum(lg.graph, lambda part: expand_nc(induced_labelled(lg, part)),
-                             tensor_nc)
+                             NCQSymTensor)
 
 
 # ---------------------------------------------------------------------------
@@ -156,21 +156,21 @@ def coproduct_nc_digraph(lg: LabelledDigraph) -> NCQSymTensor:
 def basis_nc(kind: str, phi) -> NCQSymExpr:
     """M (indicator), F (sum over bar-addition refinements), or Fbar
     (sum over bar-removal coarsenings) at a set composition of [n]."""
-    phi = _check_key(phi)
+    return _basis_nc(kind, _check_key(phi))
+
+
+def _basis_nc(kind: str, phi) -> NCQSymExpr:
+    """basis_nc at a canonical key. The keys that adding or removing
+    bars makes from it are canonical too, so the element is built with
+    the trusted constructor."""
     if kind == "M":
-        return NCQSymExpr({phi: 1})
-    if kind == "F":
-        return NCQSymExpr({psi: 1 for psi in reformations(phi)})
-    if kind == "Fbar":
-        return NCQSymExpr({psi: 1 for psi in corruptions(phi)})
-    raise ValueError(f"unknown noncommutative basis kind {kind!r}")
-
-
-def _basis_nc_canonical(kind: str, phi) -> NCQSymExpr:
-    """basis_nc(kind, phi) for kind F or Fbar at a canonical key. The
-    keys that adding or removing bars makes from it are canonical too,
-    so the element is built with the trusted constructor."""
-    members = reformations(phi) if kind == "F" else _corruptions(phi)
+        members = (phi,)
+    elif kind == "F":
+        members = reformations(phi)
+    elif kind == "Fbar":
+        members = _corruptions(phi)
+    else:
+        raise ValueError(f"unknown noncommutative basis kind {kind!r}")
     return NCQSymExpr._of(dict.fromkeys(members, 1))
 
 
@@ -185,11 +185,9 @@ def ncsym_h_meet(pi) -> NCQSymExpr:
     """Complete homogeneous element via the lattice-meet formula."""
     pi = set_partition(pi)
     n = len(ground_set(pi))
-    out = NCQSymExpr.zero()
-    for omega in combinat.set_partitions(n):
-        factor = lambda_factorial(shape_partition(partition_meet(omega, pi)))
-        out = out + ncsym_m_expr(omega).scale(factor)
-    return out
+    return NCQSymExpr.sum_of(
+        ncsym_m_expr(omega).scale(lambda_factorial(shape_partition(partition_meet(omega, pi))))
+        for omega in combinat.set_partitions(n))
 
 
 def basis_ncsym(kind: str, pi) -> NCQSymExpr:
@@ -206,8 +204,7 @@ def basis_ncsym(kind: str, pi) -> NCQSymExpr:
     if kind == "h":
         return _blockwise_symmetrized(pi, "Q").at_t(1)
     if kind == "S":
-        lam = shape_partition(pi)
-        return symmetrize(gr.schur_labelled(lam)).at_t(1)
+        return symmetrize(gr.labelled(gr.grid(shape_partition(pi)))).at_t(1)
     raise ValueError(f"unknown NCSym basis kind {kind!r}")
 
 
@@ -219,13 +216,11 @@ def basis_ncsym_e_paths(pi) -> NCQSymExpr:
 
 def _blockwise_symmetrized(pi, atom_kind: str) -> NCQSymExpr:
     """Sum of expansions over independent relabellings of each block's atom."""
-    out = NCQSymExpr.zero()
     block_orders = [itertools.permutations(b) for b in pi]
-    for choice in itertools.product(*block_orders):
-        parts = [LabelledDigraph(gr.atom(atom_kind, len(labels)), labels)
-                 for labels in choice]
-        out = out + expand_nc(gr.combine_chain_labelled("disjoint", parts))
-    return out
+    return NCQSymExpr.sum_of(
+        expand_nc(gr.combine_chain_labelled("disjoint", [
+            LabelledDigraph(gr.atom(atom_kind, len(labels)), labels) for labels in choice]))
+        for choice in itertools.product(*block_orders))
 
 
 def symmetrize(lg: LabelledDigraph, max_labels: int = 5) -> NCQSymExpr:
@@ -239,11 +234,8 @@ def symmetrize(lg: LabelledDigraph, max_labels: int = 5) -> NCQSymExpr:
         raise ValueError(
             f"symmetrizing over {len(labels)}! relabellings exceeds the "
             f"max_labels={max_labels} guard")
-    out = NCQSymExpr.zero()
-    for perm in itertools.permutations(labels):
-        sigma = dict(zip(labels, perm))
-        out = out + expand_nc(relabel(lg, sigma))
-    return out
+    return NCQSymExpr.sum_of(expand_nc(relabel(lg, dict(zip(labels, perm))))
+                             for perm in itertools.permutations(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +285,7 @@ def basis_ncr(kind: str, phi, pi, r) -> NCQSymExpr:
     if kind == "M":
         return NCQSymExpr({psi: 1 for psi in bar_shuffle(rsc.phi, rsc.pi)})
     if kind == "Fbar":
-        out = NCQSymExpr.zero()
-        for psi in corruptions(rsc.phi):
-            out = out + basis_ncr("M", psi, rsc.pi, r)
-        return out
+        return NCQSymExpr.sum_of(basis_ncr("M", psi, rsc.pi, r) for psi in corruptions(rsc.phi))
     raise ValueError(f"unknown r-basis kind {kind!r}")
 
 
@@ -340,7 +329,7 @@ def to_ncqsym_basis(f: NCQSymExpr, kind: str) -> dict:
         return dict(f.terms)
     if kind not in ("F", "Fbar"):
         raise ValueError(f"unknown noncommutative basis kind {kind!r}")
-    return f.peel(lambda psi: _basis_nc_canonical(kind, psi), finer=kind == "F")
+    return f.peel(lambda psi: _basis_nc(kind, psi), finer=kind == "F")
 
 
 def to_ncsym_m(f: NCQSymExpr) -> dict:

@@ -82,6 +82,16 @@ class TermMap:
     def zero(cls):
         return cls._of({})
 
+    @classmethod
+    def sum_of(cls, exprs):
+        """The sum of term maps of this class, merged into one dict in
+        the order given (the terms and order of a fold of +)."""
+        out: dict = {}
+        for expr in exprs:
+            for key, coeff in expr.terms.items():
+                _merge(out, key, coeff)
+        return cls._of(out)
+
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -683,10 +693,7 @@ def qsym_to_json(f: QSymExpr) -> dict:
 
 def qsym_from_json(data) -> QSymExpr:
     if "components" in data:
-        out = QSymExpr.zero()
-        for part in data["components"]:
-            out = out + qsym_from_json(part)
-        return out
+        return QSymExpr.sum_of(map(qsym_from_json, data["components"]))
     return QSymExpr({tuple(t["composition"]): tpoly_from_json(t["coeff_t"])
                      for t in data["terms"]})
 

@@ -1,14 +1,18 @@
 import contextlib
 import io
+import itertools
 import json
+import random
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chromexp import verify as verify_mod
+from chromexp.chromatic import expand
 from chromexp.graph import digraph_from_json, digraph_to_json, parse_dsl
 from chromexp.cli import main
+from chromexp.qsym import evaluate_ones
 from chromexp.verify import VerifyResult
 
 
@@ -54,6 +58,57 @@ def test_poly_eval_matches_worked_example(capsys):
     code, out = run(capsys, "poly", "--dsl", "U(K(3))", "--eval", "3")
     assert code == 0
     assert json.loads(out) == {"p": 3, "value": 6}
+
+
+def test_poly_eval_at_a_negative_integer(capsys):
+    code, out = run(capsys, "poly", "--dsl", "K(3)", "--eval", "-1")
+    assert code == 0
+    assert json.loads(out) == {"p": -1, "value": -6}
+
+
+def acyclic_orientations(n, edges) -> int:
+    """Orientations of the graph's edges with a topological order (Kahn)."""
+    count = 0
+    for flips in itertools.product((False, True), repeat=len(edges)):
+        arcs = [(b, a) if flip else (a, b) for (a, b), flip in zip(edges, flips)]
+        indegree = [sum(1 for _, v in arcs if v == u) for u in range(n)]
+        ready = [u for u in range(n) if not indegree[u]]
+        placed = 0
+        while ready:
+            u = ready.pop()
+            placed += 1
+            for a, b in arcs:
+                if a == u:
+                    indegree[b] -= 1
+                    if not indegree[b]:
+                        ready.append(b)
+        count += placed == n
+    return count
+
+
+def test_poly_at_minus_one_counts_acyclic_orientations(tmp_path, capsys):
+    # Stanley (1973): (-1)^n chi_G(-1) is the number of acyclic orientations
+    rng = random.Random(20261018)
+    for i in range(25):
+        n = rng.randint(1, 5)
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5]
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps({"n": n, "edges": [[a, b, "neq"] for a, b in edges]}))
+        code, out = run(capsys, "poly", "--json", str(path), "--eval", "-1")
+        assert code == 0
+        assert (-1) ** n * json.loads(out)["value"] == acyclic_orientations(n, edges)
+
+
+@pytest.mark.parametrize("dsl", ["K(3)", "U(K(3))", "P(3)", "W(C(2),C(1))",
+                                 "D(C(2),S(C(1),C(1)))", "U(K(2),S(K(2),C(1)))"])
+def test_poly_eval_at_a_nonnegative_integer_writes_the_counting_value(dsl, capsys):
+    f = expand(parse_dsl(dsl)).at_t(1)
+    for p in range(5):
+        value = evaluate_ones(f, p)
+        assert run(capsys, "poly", "--dsl", dsl, "--eval", str(p)) == (
+            0, json.dumps({"p": p, "value": value}, indent=2) + "\n")
+        assert run(capsys, "poly", "--dsl", dsl, "--eval", str(p), "--pretty") == (
+            0, f"{value}\n")
 
 
 def test_poly_coefficients(capsys):

@@ -6,7 +6,7 @@ constructor builds from the same terms, and hold no zero coefficient:
 then every key a trusted path made would have passed the public check.
 The lean combinatorial cores behind those operations, and the basis
 elements the nc basis peel builds, are checked against the validating
-functions they replace.
+functions they replace, and `TermMap.sum_of` against the fold of `+`.
 """
 
 import random
@@ -18,8 +18,8 @@ from chromexp import combinat
 from chromexp.chromatic import expand
 from chromexp.graph import labelled
 from chromexp.ncqsym import (
-    _basis_nc_canonical, basis_nc, coproduct_nc, expand_nc, rho, tensor_nc)
-from chromexp.qsym import coproduct, tensor
+    NCQSymExpr, NCQSymTensor, _basis_nc, basis_nc, coproduct_nc, expand_nc, rho, tensor_nc)
+from chromexp.qsym import QSymExpr, QSymTensor, coproduct, tensor
 from chromexp.tpoly import TPoly
 from chromexp.verify import random_digraph, random_labelled_digraph
 
@@ -106,7 +106,7 @@ def test_peeled_nc_basis_elements_equal_the_validated_ones():
     for n in range(6):
         for psi in combinat.set_compositions(n):
             for kind in ("F", "Fbar"):
-                trusted = _basis_nc_canonical(kind, psi)
+                trusted = _basis_nc(kind, psi)
                 assert trusted == basis_nc(kind, psi)
                 assert_canonical(trusted)
 
@@ -117,3 +117,50 @@ def test_lean_corruptions_match_the_public_ones():
             lean = combinat._corruptions(phi)
             assert len(lean) == len(set(lean))
             assert set(lean) == combinat.corruptions(phi)
+
+
+# ---------------------------------------------------------------------------
+# sum_of against the fold of +
+
+QSYM_KEYS = [alpha for n in range(4) for alpha in combinat.compositions(n)]
+NC_KEYS = [phi for n in range(4) for phi in combinat.set_compositions(n)]
+KEY_POOLS = [
+    (QSymExpr, QSYM_KEYS),
+    (NCQSymExpr, NC_KEYS),
+    (QSymTensor, [(a, b) for a in QSYM_KEYS[:5] for b in QSYM_KEYS[:5]]),
+    (NCQSymTensor, [(a, b) for a in NC_KEYS[:5] for b in NC_KEYS[:5]]),
+]
+COEFFS = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+    st.lists(st.integers(min_value=-2, max_value=2), max_size=3).map(TPoly))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sum_of_equals_the_fold_of_plus(data):
+    cls, keys = data.draw(st.sampled_from(KEY_POOLS))
+    exprs = data.draw(st.lists(
+        st.lists(st.tuples(st.sampled_from(keys), COEFFS), max_size=6).map(cls), max_size=5))
+    # negated copies cancel terms, some of them to zero
+    exprs += [-e for e in data.draw(st.lists(st.sampled_from(exprs), max_size=3))] if exprs else []
+    fold = cls.zero()
+    for e in exprs:
+        fold = fold + e
+    got = cls.sum_of(iter(exprs))
+    assert type(got) is cls
+    # the same terms, coefficient types and dict order
+    assert list(got.terms.items()) == list(fold.terms.items())
+    assert [type(c) for c in got.terms.values()] == [type(c) for c in fold.terms.values()]
+    assert_canonical(got)
+
+
+def test_sum_of_nothing_and_of_a_cancelling_pair_is_zero():
+    f = QSymExpr({(1, 2): T, (3,): Fraction(1, 2)})
+    y = NCQSymExpr({((1,), (2,)): 2})
+    for x in (f, y, tensor(f, f), tensor_nc(y, y)):
+        cls = type(x)
+        assert cls.sum_of([]).terms == {}
+        assert cls.sum_of([x, -x]).terms == {}
+        assert cls.sum_of([x]) == x
+        assert cls.sum_of([x, x]) == x.scale(2)
