@@ -262,7 +262,7 @@ def humpert(h: SimpleGraph, k: int) -> QSymExpr:
     sum of expansions of the k-balanced all-solid orientations."""
     if k < 1:
         raise ValueError("k must be positive")
-    return QSymExpr.sum_of(expand(orientation).at_t(1) for orientation in orientations(h, LT)
+    return QSymExpr.sum_of(expand(orientation).at_t(1) for orientation in orientations(h)
                            if is_k_balanced(orientation, k))
 
 

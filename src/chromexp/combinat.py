@@ -305,26 +305,33 @@ def shape_partition(blocks) -> tuple[int, ...]:
 
 def set_compositions(n: int):
     """All set compositions of [n]."""
-    for pi in set_partitions(n):
-        for order in itertools.permutations(pi):
-            yield tuple(order)
+    return _set_compositions_of(tuple(range(1, n + 1)))
 
 
 def set_partitions(n: int):
     """All set partitions of [n], in canonical order."""
-    def rec(elements):
-        if not elements:
-            yield ()
-            return
-        first, rest = elements[0], elements[1:]
-        for size in range(len(rest) + 1):
-            for mates in itertools.combinations(rest, size):
-                block = (first,) + mates
-                remaining = tuple(x for x in rest if x not in mates)
-                for tail in rec(remaining):
-                    yield (block,) + tail
+    return _set_partitions_of(tuple(range(1, n + 1)))
 
-    yield from rec(tuple(range(1, n + 1)))
+
+def _set_compositions_of(elements):
+    for pi in _set_partitions_of(elements):
+        yield from itertools.permutations(pi)
+
+
+def _set_partitions_of(elements):
+    """All set partitions of an increasing tuple, in canonical order: the
+    block of the first element takes its mates by their number, then in
+    itertools.combinations order, and the rest is partitioned alike."""
+    if len(elements) <= 1:
+        yield (elements,) if elements else ()
+        return
+    first, rest = elements[:1], elements[1:]
+    for size in range(len(rest) + 1):
+        for mates in itertools.combinations(rest, size):
+            block = (first + mates,)
+            remaining = tuple(x for x in rest if x not in mates)
+            for tail in _set_partitions_of(remaining):
+                yield block + tail
 
 
 def standardize_set_composition(phi):
@@ -609,19 +616,18 @@ def bar_shuffle(phi, pi) -> set[tuple[tuple[int, ...], ...]]:
     pi = set_partition(pi)
     if ground_set(phi) & ground_set(pi):
         raise ValueError("ground sets overlap")
-    k, l = len(phi), len(pi)
-    out = set()
-    for positions in itertools.combinations(range(k + l), k):
-        pos_set = set(positions)
-        rest = [i for i in range(k + l) if i not in pos_set]
-        for order in itertools.permutations(pi):
-            blocks = [None] * (k + l)
-            for slot, block in zip(positions, phi):
-                blocks[slot] = block
-            for slot, block in zip(rest, order):
-                blocks[slot] = block
-            out.add(tuple(blocks))
-    return out
+    return set(_interleavings(phi, list(itertools.permutations(pi))))
+
+
+def _interleavings(fixed, orders):
+    """Every sequence that keeps the entries of `fixed` in order and fills
+    the other slots with one of `orders`, all of one length: the slots of
+    `fixed` in the outer loop, in itertools.combinations order."""
+    size = len(fixed) + len(orders[0])
+    for slots in itertools.combinations(range(size), len(fixed)):
+        for order in orders:
+            ins, outs = iter(fixed), iter(order)
+            yield tuple([next(ins) if i in slots else next(outs) for i in range(size)])
 
 
 def r_split(upsilon, r):
@@ -650,17 +656,17 @@ def partition_refines(pi, omega) -> bool:
 
 
 def partition_meet(pi, omega) -> tuple[tuple[int, ...], ...]:
-    """Greatest lower bound: pairwise block intersections, empties dropped."""
-    if ground_set(pi) != ground_set(omega):
+    """Greatest lower bound of two set partitions of one ground set: the
+    nonempty pairwise block intersections."""
+    block_of = {x: j for j, b in enumerate(omega) for x in b}
+    if block_of.keys() != ground_set(pi):
         raise ValueError("ground sets differ")
-    blocks = []
-    for a in pi:
-        sa = set(a)
-        for b in omega:
-            common = sa.intersection(b)
-            if common:
-                blocks.append(tuple(sorted(common)))
-    return set_partition(blocks)
+    meet: dict = {}
+    for i, a in enumerate(pi):
+        for x in a:
+            meet.setdefault((i, block_of[x]), []).append(x)
+    # disjoint sorted blocks sort by their minima
+    return tuple(sorted(map(tuple, map(sorted, meet.values()))))
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +675,7 @@ def partition_meet(pi, omega) -> tuple[tuple[int, ...], ...]:
 def _check_r(r):
     if r is INFINITY:
         return
-    if not (isinstance(r, int) and r >= 1):
+    if not (isinstance(r, int) and not isinstance(r, bool) and r >= 1):
         raise ValueError(f"r must be a positive integer or INFINITY: {r!r}")
 
 
@@ -747,21 +753,6 @@ def r_set_compositions(n: int, r):
             for phi in phis:
                 for pi in pis:
                     yield RSetComposition(r, phi, pi)
-
-
-def _set_compositions_of(elements):
-    for pi in _set_partitions_of(elements):
-        yield from itertools.permutations(pi)
-
-
-def _set_partitions_of(elements):
-    elements = tuple(sorted(elements))
-    if not elements:
-        yield ()
-        return
-    relabel = dict(enumerate(elements, start=1))
-    for pi in set_partitions(len(elements)):
-        yield set_partition(tuple(relabel[x] for x in b) for b in pi)
 
 
 # ---------------------------------------------------------------------------

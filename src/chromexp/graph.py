@@ -467,12 +467,12 @@ def closed_subsets(g: EdgeColouredDigraph):
 # ---------------------------------------------------------------------------
 # orientations and balance
 
-def orientations(h: SimpleGraph, constraint: EdgeConstraint = LT):
-    """All 2^|E| orientations of a graph, as digraphs with one edge colour."""
+def orientations(h: SimpleGraph):
+    """All 2^|E| orientations of a graph, as all-solid digraphs."""
     edge_pairs = h.edge_list()
     out = []
     for flips in itertools.product((False, True), repeat=len(edge_pairs)):
-        edges = [((b, a, constraint) if flip else (a, b, constraint))
+        edges = [((b, a, LT) if flip else (a, b, LT))
                  for (a, b), flip in zip(edge_pairs, flips)]
         out.append(make(h.n, edges))
     return out

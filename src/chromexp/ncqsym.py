@@ -177,32 +177,41 @@ def _basis_nc(kind: str, phi) -> NCQSymExpr:
 def ncsym_m_expr(pi) -> NCQSymExpr:
     """Monomial symmetric function in noncommuting variables, directly:
     the sum of M over all orderings of the blocks."""
-    pi = set_partition(pi)
-    return NCQSymExpr({tuple(order): 1 for order in itertools.permutations(pi)})
+    return _ncsym_m_sum(((_check_key(set_partition(pi)), 1),))
 
 
-def ncsym_h_meet(pi) -> NCQSymExpr:
-    """Complete homogeneous element via the lattice-meet formula."""
-    pi = set_partition(pi)
-    n = len(ground_set(pi))
-    return NCQSymExpr.sum_of(
-        ncsym_m_expr(omega).scale(lambda_factorial(shape_partition(partition_meet(omega, pi))))
-        for omega in combinat.set_partitions(n))
+def _ncsym_m_sum(weighted) -> NCQSymExpr:
+    """The sum of c * m_sigma over (sigma, c) for distinct canonical set
+    partitions of [n] and nonzero c: the block orders are distinct
+    canonical keys."""
+    return NCQSymExpr._of({order: c for sigma, c in weighted
+                           for order in itertools.permutations(sigma)})
 
 
 def basis_ncsym(kind: str, pi) -> NCQSymExpr:
-    """NCSym bases generated by the digraph engine.
+    """NCSym bases at a set partition, its ground standardized onto [n].
 
-    m, p, e come from single labelled digraphs (dashed chain of cycles,
-    disjoint cycles, disjoint complete blocks); h symmetrizes double
-    paths blockwise; S symmetrizes the labelled partition grid over the
-    whole symmetric group.
+    m, p, e and h are closed forms (Rosas-Sagan 2006), which the table
+    suite checks against their digraphs: p_pi sums m_sigma over the
+    merges sigma of pi's blocks, and e_pi and h_pi weigh m_sigma by
+    sigma ^ pi, with 1 if it is discrete and with the product of its
+    block-size factorials. S symmetrizes the labelled partition grid.
     """
-    pi = set_partition(pi)
-    if kind in ("m", "p", "e"):
-        return expand_nc(gr.ncsym_basis_digraph(kind, pi)).at_t(1)
-    if kind == "h":
-        return _blockwise_symmetrized(pi, "Q").at_t(1)
+    pi = combinat.standardize_set_partition(set_partition(pi))
+    if kind == "m":
+        return _ncsym_m_sum(((pi, 1),))
+    if kind == "p":
+        # pi's blocks are ordered by minimum, and so are their merges
+        return _ncsym_m_sum(
+            (tuple(tuple(sorted(x for i in group for x in pi[i - 1])) for group in groups), 1)
+            for groups in combinat.set_partitions(len(pi)))
+    if kind in ("e", "h"):
+        n = sum(map(len, pi))
+        meets = ((sigma, partition_meet(sigma, pi)) for sigma in combinat.set_partitions(n))
+        if kind == "e":
+            return _ncsym_m_sum((sigma, 1) for sigma, meet in meets if len(meet) == n)
+        return _ncsym_m_sum((sigma, lambda_factorial(shape_partition(meet)))
+                            for sigma, meet in meets)
     if kind == "S":
         return symmetrize(gr.labelled(gr.grid(shape_partition(pi)))).at_t(1)
     raise ValueError(f"unknown NCSym basis kind {kind!r}")

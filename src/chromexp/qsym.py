@@ -12,8 +12,11 @@ from fractions import Fraction
 
 from . import combinat, graph, tpoly
 from .combinat import (
+    INFINITY,
     RComposition,
     _by_multiplicity,
+    _check_r,
+    _interleavings,
     _quasi_shuffles,
     _splits_memo,
     coarsenings,
@@ -25,9 +28,7 @@ from .combinat import (
     lambda_superfactorial,
     partition,
     partitions,
-    r_compositions,
     refinements,
-    sort_to_partition,
 )
 from .linalg import solve_combination
 from .tpoly import TPoly, check_coefficient, tpoly_from_json, tpoly_to_json
@@ -475,12 +476,7 @@ def _t_slices(terms) -> dict[int, dict]:
 
 def is_symmetric(f: QSymExpr) -> bool:
     """Whether the M coefficients are constant on rearrangement classes."""
-    try:
-        f.collect(sort_to_partition, lambda lam: list(distinct_rearrangements(lam)),
-                  ValueError)
-    except ValueError:
-        return False
-    return True
+    return in_qsym_r(f, INFINITY)
 
 
 def to_sym_basis(f: QSymExpr, kind: str) -> dict[tuple[int, ...], TPoly]:
@@ -543,18 +539,24 @@ def to_qsym_basis(f: QSymExpr, kind: str) -> dict:
 
 
 def in_qsym_r(f: QSymExpr, r) -> bool:
-    """Exact membership of f in the r-level subspace of its degrees."""
-    if r == 1:
-        return True
-    for n in f.degrees():
-        component = f.homogeneous_component(n)
-        columns = [
-            {k: tpoly.evaluate(c, 1) for k, c in basis_r("M", rc.beta, rc.mu, r).terms.items()}
-            for rc in r_compositions(n, r)
-        ]
-        for _, coords in _t_slices(component.terms).items():
-            if solve_combination(columns, coords) is None:
-                return False
+    """Exact membership of f in the r-level subspace of its degrees.
+
+    basis_r("M", beta, mu, r) is a constant times the sum of M over beta
+    interleaved with each distinct rearrangement of mu, so f is a member
+    when it is constant on the fiber of every composition's split into
+    its parts >= r, in order, and its parts < r, sorted decreasingly.
+    """
+    _check_r(r)
+
+    def split(alpha):
+        return (tuple(p for p in alpha if p >= r),
+                tuple(sorted((p for p in alpha if p < r), reverse=True)))
+
+    try:
+        f.collect(split, lambda s: list(_interleavings(s[0], list(distinct_rearrangements(s[1])))),
+                  ValueError)
+    except ValueError:
+        return False
     return True
 
 

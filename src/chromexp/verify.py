@@ -31,16 +31,14 @@ from .graph import digraph_to_json
 from .linalg import exact_rank
 from .qsym import QSymExpr, coproduct
 from .ncqsym import (
-    NCQSymExpr,
     RegroupError,
+    _blockwise_symmetrized,
     basis_nc,
     basis_ncr,
     basis_ncsym,
     basis_ncsym_e_paths,
     coproduct_nc,
     expand_nc,
-    ncsym_h_meet,
-    ncsym_m_expr,
     r_regroup,
     r_regroup_tensor,
     rho,
@@ -255,18 +253,6 @@ def _immaculate_contents(alpha, row_strict: bool) -> dict[tuple, int]:
     return combinat.tableau_contents(alpha, admissible)
 
 
-def _ncsym_direct(pi, n, meets) -> NCQSymExpr:
-    """NCSym elements directly: M over the set compositions of [n] in
-    which each block b of pi meets exactly meets(b) blocks. One block
-    gives the power sum, len(b) blocks the elementary element."""
-    terms = {}
-    for phi in set_compositions(n):
-        lookup = {x: idx for idx, block in enumerate(phi) for x in block}
-        if all(len({lookup[x] for x in block}) == meets(block) for block in pi):
-            terms[phi] = 1
-    return NCQSymExpr(terms)
-
-
 def _scalar_vector(f) -> dict:
     """The coefficients of f at t = 1, as Fractions for exact_rank."""
     return {k: Fraction(evaluate(c, 1)) for k, c in f.terms.items()}
@@ -316,16 +302,14 @@ def verify_tables(n: int = 5, sym_n: int = 4):
 
         for pi in set_partitions(m):
             index = [list(b) for b in pi]
-            yield _check(basis_ncsym("m", pi) == ncsym_m_expr(pi),
-                         table="ncsym", kind="m", index=index)
-            yield _check(basis_ncsym("p", pi) == _ncsym_direct(pi, m, lambda block: 1),
-                         table="ncsym", kind="p", index=index)
-            yield _check(basis_ncsym("e", pi) == _ncsym_direct(pi, m, len),
-                         table="ncsym", kind="e", index=index)
+            for kind in ("m", "p", "e"):
+                yield _check(basis_ncsym(kind, pi)
+                             == expand_nc(gr.ncsym_basis_digraph(kind, pi)).at_t(1),
+                             table="ncsym", kind=kind, index=index)
             if m <= sym_n:
                 yield _check(basis_ncsym("e", pi) == basis_ncsym_e_paths(pi),
                              table="ncsym", kind="e-paths", index=index)
-                yield _check(basis_ncsym("h", pi) == ncsym_h_meet(pi),
+                yield _check(basis_ncsym("h", pi) == _blockwise_symmetrized(pi, "Q").at_t(1),
                              table="ncsym", kind="h", index=index)
 
         # full symmetrization of the labelled grid, by shape

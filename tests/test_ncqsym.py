@@ -27,6 +27,7 @@ from chromexp.ncqsym import (
     NCQSymExpr,
     NCQSymTensor,
     RegroupError,
+    _blockwise_symmetrized,
     basis_nc,
     basis_ncr,
     basis_ncsym,
@@ -39,7 +40,6 @@ from chromexp.ncqsym import (
     mr_inject_check,
     ncqsym_from_json,
     ncqsym_to_json,
-    ncsym_h_meet,
     ncsym_m_expr,
     r_regroup,
     r_regroup_tensor,
@@ -195,7 +195,7 @@ def test_h_worked_example():
     assert coords[sp((1, 3), (2, 4))] == TPoly.of(4)
     assert coords[sp((1, 3), (2,), (4,))] == TPoly.of(2)
     assert len(coords) == 15
-    assert ncsym_h_meet(sp((1, 3), (2, 4))) == h
+    assert _blockwise_symmetrized(sp((1, 3), (2, 4)), "Q").at_t(1) == h
 
 
 def test_elementary_two_routes_agree():
