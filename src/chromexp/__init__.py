@@ -30,6 +30,7 @@ from .graph import (
     NEQ,
     atom,
     atom_labelled,
+    balanced_orientations,
     combine,
     combine_chain,
     combine_labelled,

@@ -16,12 +16,12 @@ from .graph import (
     Contraction,
     EdgeColouredDigraph,
     SimpleGraph,
+    balanced_orientations,
     contract,
     closed_subsets,
     colouring_orientation,
     induced,
     is_k_balanced,
-    orientations,
 )
 from .qsym import QSymExpr, QSymTensor
 from .tpoly import TPoly
@@ -260,10 +260,8 @@ def row_strict_dual_immaculate(alpha) -> QSymExpr:
 def humpert(h: SimpleGraph, k: int) -> QSymExpr:
     """Balanced chromatic quasisymmetric function via orientations: the
     sum of expansions of the k-balanced all-solid orientations."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    return QSymExpr.sum_of(expand(orientation).at_t(1) for orientation in orientations(h)
-                           if is_k_balanced(orientation, k))
+    return QSymExpr.sum_of(expand(orientation).at_t(1)
+                           for orientation in balanced_orientations(h, k))
 
 
 def humpert_direct(h: SimpleGraph, k: int) -> QSymExpr:

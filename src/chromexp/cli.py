@@ -288,8 +288,7 @@ def _cmd_verify(args) -> int:
         result = verify.verify_hopf(trials=_default(args.trials, 50),
                                     max_n=_default(args.n, 4), seed=args.seed)
     elif suite == "tables":
-        n = _default(args.n, 5)
-        result = verify.verify_tables(n=n, sym_n=min(n, 4))
+        result = verify.verify_tables(n=_default(args.n, 5))
     elif suite == "r-closure":
         n = _default(args.n, 5)
         result = verify.verify_r_closure(n_qsym=n, n_nc=min(n - 1, 4),
@@ -355,11 +354,8 @@ def _cmd_mr(args) -> int:
 
 def _cmd_balanced(args) -> int:
     h = gr.simple_graph_from_json(_read_json(args.graph))
-    balanced = []
-    for orientation in gr.orientations(h):
-        if gr.is_k_balanced(orientation, args.k):
-            balanced.append(orientation)
-    xk = chromatic.humpert(h, args.k)
+    balanced = gr.balanced_orientations(h, args.k)
+    xk = QSymExpr.sum_of(chromatic.expand(o).at_t(1) for o in balanced)
     if args.pretty:
         for o in balanced:
             print(repr(o))
@@ -462,6 +458,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(f"error: {args.command}: out of memory", file=sys.stderr)
         return 3
 
 

@@ -48,12 +48,7 @@ def partition(parts) -> tuple[int, ...]:
 
 def descent_set(alpha) -> frozenset[int]:
     """Partial sums of all but the last part, a subset of [size-1]."""
-    sums = []
-    acc = 0
-    for part in alpha[:-1]:
-        acc += part
-        sums.append(acc)
-    return frozenset(sums)
+    return frozenset(itertools.accumulate(alpha[:-1]))
 
 
 def composition_from_descents(subset, n: int) -> tuple[int, ...]:
@@ -61,24 +56,28 @@ def composition_from_descents(subset, n: int) -> tuple[int, ...]:
     cuts = sorted(subset)
     if any(not 1 <= s <= n - 1 for s in cuts):
         raise ValueError(f"{subset} is not a subset of [{n - 1}]")
-    prev = 0
-    parts = []
-    for s in cuts + [n]:
-        parts.append(s - prev)
-        prev = s
     if n == 0:
         return ()
-    return tuple(parts)
+    return tuple(b - a for a, b in itertools.pairwise([0, *cuts, n]))
+
+
+def _with_cuts(n: int, fixed: tuple, optional):
+    """The compositions of n whose cut set is `fixed` plus a subset of
+    the sorted sequence `optional`, fewer added cuts first and each size
+    in itertools.combinations order."""
+    if n <= 0:
+        if n == 0:
+            yield ()
+        return
+    for size in range(len(optional) + 1):
+        for chosen in itertools.combinations(optional, size):
+            cuts = (0, *sorted(fixed + chosen), n) if fixed else (0, *chosen, n)
+            yield tuple(b - a for a, b in itertools.pairwise(cuts))
 
 
 def compositions(n: int):
     """All compositions of n, in graded-lex order of cut sets."""
-    if n == 0:
-        yield ()
-        return
-    for size in range(n):
-        for cuts in itertools.combinations(range(1, n), size):
-            yield composition_from_descents(cuts, n)
+    return _with_cuts(n, (), range(1, n))
 
 
 def coarsens(alpha, beta) -> bool:
@@ -90,25 +89,13 @@ def coarsens(alpha, beta) -> bool:
 
 def coarsenings(alpha):
     """All compositions gamma that coarsen alpha (merge runs of adjacent parts)."""
-    n = sum(alpha)
-    cuts = sorted(descent_set(alpha))
-    out = []
-    for size in range(len(cuts) + 1):
-        for chosen in itertools.combinations(cuts, size):
-            out.append(composition_from_descents(chosen, n))
-    return out
+    return list(_with_cuts(sum(alpha), (), sorted(descent_set(alpha))))
 
 
 def refinements(alpha):
     """All compositions beta refined by alpha (set(beta) contains set(alpha))."""
-    n = sum(alpha)
-    base = descent_set(alpha)
-    free = [s for s in range(1, n) if s not in base]
-    out = []
-    for size in range(len(free) + 1):
-        for extra in itertools.combinations(free, size):
-            out.append(composition_from_descents(base | set(extra), n))
-    return out
+    n, base = sum(alpha), descent_set(alpha)
+    return list(_with_cuts(n, tuple(base), [s for s in range(1, n) if s not in base]))
 
 
 def partitions(n: int):
@@ -169,43 +156,20 @@ def lambda_superfactorial(lam) -> int:
 
 
 def distinct_rearrangements(lam):
-    """All distinct compositions with the same multiset of parts, in the
-    order in which they first occur in itertools.permutations(lam).
-
-    A rearrangement first occurs where each part takes the earliest
-    position of its value not yet used, so the walk places one value per
-    step and tries the values in the order of those positions.
-    """
-    lam = tuple(lam)
-    n = len(lam)
-    if n == 0:
-        yield ()
-        return
-    where: dict = {}
-    for i, part in enumerate(lam):
-        where.setdefault(part, []).append(i)
-    used = dict.fromkeys(where, 0)
-
-    def choices():
-        return iter(sorted((spots[used[v]], v) for v, spots in where.items()
-                           if used[v] < len(spots)))
-
-    picks: list = []  # (position, value) of each part placed so far
-    stack = [choices()]
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            if picks:
-                used[picks.pop()[1]] -= 1
-            continue
-        picks.append(step)
-        used[step[1]] += 1
-        if len(picks) < n:
-            stack.append(choices())
-            continue
-        yield tuple(lam[i] for i, _ in picks)
-        used[picks.pop()[1]] -= 1
+    """All distinct compositions with the same multiset of parts, in
+    lexicographic order: Knuth's Algorithm L (TAOCP 7.2.1.2), the next
+    permutation of sorted(lam) until none is left."""
+    a = sorted(lam)
+    while True:
+        yield tuple(a)
+        j = len(a) - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        m = max(i for i in range(j + 1, len(a)) if a[i] > a[j])
+        a[j], a[m] = a[m], a[j]
+        a[j + 1:] = a[:j:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +194,9 @@ def standardize_word(word) -> tuple[int, ...]:
     w = tuple(word)
     if not w:
         raise ValueError("cannot standardize the empty word")
-    out = []
-    for i, wi in enumerate(w):
-        smaller = sum(1 for wj in w if wj < wi)
-        equal_left = sum(1 for wj in w[: i + 1] if wj == wi)
-        out.append(smaller + equal_left)
+    out = [0] * len(w)
+    for rank, i in enumerate(sorted(range(len(w)), key=w.__getitem__), 1):
+        out[i] = rank  # the sort is stable, so ties rank left to right
     return tuple(out)
 
 

@@ -478,6 +478,15 @@ def orientations(h: SimpleGraph):
     return out
 
 
+def balanced_orientations(h: SimpleGraph, k: int):
+    """The k-balanced orientations of a graph, in the order of
+    `orientations`; the cycles of h are found once for all of them."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    cycles = simple_cycles(h)
+    return [o for o in orientations(h) if _k_balanced(o, cycles, k)]
+
+
 def simple_cycles(h: SimpleGraph):
     """Every cycle of the graph once, as a vertex tuple starting at its
     smallest vertex with the smaller neighbour second."""
@@ -503,8 +512,12 @@ def simple_cycles(h: SimpleGraph):
 
 def is_k_balanced(orientation: EdgeColouredDigraph, k: int) -> bool:
     """Whether every weak cycle has at least k edges in each direction."""
+    return _k_balanced(orientation, simple_cycles(underlying_graph(orientation)), k)
+
+
+def _k_balanced(orientation: EdgeColouredDigraph, cycles, k: int) -> bool:
     arcs = {(u, v) for u, v, _ in orientation.edges}
-    for cycle in simple_cycles(underlying_graph(orientation)):
+    for cycle in cycles:
         forward = sum(1 for i in range(len(cycle))
                       if (cycle[i], cycle[(i + 1) % len(cycle)]) in arcs)
         if forward < k or len(cycle) - forward < k:

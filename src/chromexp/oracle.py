@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graph import EdgeColouredDigraph, LabelledDigraph, standardize_labels
+from .graph import EdgeColouredDigraph, LabelledDigraph, labelled
 from .qsym import _merge
 from .tpoly import TPoly
 
@@ -128,17 +128,18 @@ def _ascents(g: EdgeColouredDigraph, colours) -> int:
     return sum(1 for u, v, _ in g.edges if colours[u] < colours[v])
 
 
+def _colourings(g: EdgeColouredDigraph, k: int):
+    """Every colouring with colours 1..k that passes every edge check."""
+    return (colours for colours in itertools.product(range(1, k + 1), repeat=g.n)
+            if _colouring_ok(g, colours))
+
+
 def direct_expand(g: EdgeColouredDigraph, k: int) -> TruncPoly:
-    """Sum t^asc x_kappa over all k^n colourings passing every edge check."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    """Sum t^asc x_kappa over all colourings: the commutative image of
+    their colour words."""
     out: dict = {}
-    for colours in itertools.product(range(1, k + 1), repeat=g.n):
-        if _colouring_ok(g, colours):
-            exponents = [0] * k
-            for c in colours:
-                exponents[c - 1] += 1
-            _merge(out, tuple(exponents), TPoly.t_power(_ascents(g, colours)))
+    for word, coeff in direct_expand_nc(labelled(g), k).terms.items():
+        _merge(out, tuple(word.count(c) for c in range(1, k + 1)), coeff)
     return TruncPoly(k, out)
 
 
@@ -146,23 +147,17 @@ def direct_expand_nc(lg: LabelledDigraph, k: int) -> WordPoly:
     """Sum t^asc times the label-ordered colour word over all colourings."""
     if k < 1:
         raise ValueError("k must be positive")
-    lg = standardize_labels(lg)
     g = lg.graph
-    position = {label: v for v, label in enumerate(lg.labels)}
+    order = sorted(range(g.n), key=lg.labels.__getitem__)
     out: dict = {}
-    for colours in itertools.product(range(1, k + 1), repeat=g.n):
-        if _colouring_ok(g, colours):
-            word = tuple(colours[position[i]] for i in range(1, g.n + 1))
-            _merge(out, word, TPoly.t_power(_ascents(g, colours)))
+    for colours in _colourings(g, k):
+        _merge(out, tuple(colours[v] for v in order), TPoly.t_power(_ascents(g, colours)))
     return WordPoly(k, out)
 
 
 def count_colourings(g: EdgeColouredDigraph, p: int) -> int:
     """The number of proper colourings with colours drawn from 1..p."""
-    if p == 0:
-        return 1 if g.n == 0 else 0
-    return sum(1 for colours in itertools.product(range(1, p + 1), repeat=g.n)
-               if _colouring_ok(g, colours))
+    return sum(1 for _ in _colourings(g, p))
 
 
 # ---------------------------------------------------------------------------

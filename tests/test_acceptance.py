@@ -159,7 +159,7 @@ def test_criterion_06_hopf_suite():
 
 def test_criterion_07_table_suite():
     with _gate(7, "every basis-table row identity up to degree 5", 300.0):
-        result = verify_tables(n=5, sym_n=4)
+        result = verify_tables(n=5)
         assert result.ok, result.counterexample
         assert result.checks > 2000
 

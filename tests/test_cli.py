@@ -2,13 +2,17 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chromexp import verify as verify_mod
+from chromexp import ncqsym, verify as verify_mod
 from chromexp.chromatic import expand
 from chromexp.graph import digraph_from_json, digraph_to_json, parse_dsl
 from chromexp.cli import main
@@ -294,6 +298,47 @@ def test_malformed_balanced_graph_exits_three(tmp_path, capsys, raw):
     line, = captured.err.splitlines()
     assert line.startswith("error: ")
 
+
+def test_balanced_k_zero_exits_three(tmp_path, capsys):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}))
+    assert main(["balanced", "--graph", str(path), "--k", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k must be positive\n"
+
+
+def test_out_of_memory_exits_three_with_one_line(capsys):
+    with mock.patch.object(ncqsym, "ncqsym_tensor_to_json", side_effect=MemoryError):
+        code = main(["coproduct", "--nc", "--dsl", "U(P(2),C(1))"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: coproduct: out of memory\n"
+
+
+OUT_OF_MEMORY = """
+import resource, sys
+from chromexp.cli import main
+with open("/proc/self/status") as fh:
+    size = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmSize:"))
+resource.setrlimit(resource.RLIMIT_AS, (size + 64 * 2**20, size + 64 * 2**20))
+sys.exit(main(["expand", "--nc", "--dsl", "U(" + ",".join(["C(1)"] * 9) + ")"]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmSize from /proc")
+def test_real_out_of_memory_exits_three():
+    """An address-space limit 64 MiB above the loaded interpreter is far
+    below the edgeless 9-vertex nc expansion (7,087,261 terms)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run([sys.executable, "-c", OUT_OF_MEMORY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == "error: expand: out of memory\n"
 
 HOPF_IDENTITIES = {"product", "nc-product", "coproduct", "nc-coproduct", "coassociativity",
                    "counit", "bialgebra", "nc-coassociativity", "nc-bialgebra",

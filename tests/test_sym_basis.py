@@ -160,8 +160,10 @@ def test_kostka_counts_match_brute_force_through_degree_eight():
             assert _ssyt_contents(lam) == brute_ssyt_contents(lam), lam
 
 
-def test_rearrangements_come_in_the_permutation_walks_order():
+def test_rearrangements_come_in_lexicographic_order():
     for n in range(8):
         for alpha in compositions(n):
-            assert list(distinct_rearrangements(alpha)) == list(ref_rearrangements(alpha)), alpha
-    assert list(distinct_rearrangements(iter([3, 1, 3]))) == [(3, 1, 3), (3, 3, 1), (1, 3, 3)]
+            got = list(distinct_rearrangements(alpha))
+            assert got == sorted(set(got)), alpha
+            assert set(got) == set(ref_rearrangements(alpha)), alpha
+    assert list(distinct_rearrangements(iter([3, 1, 3]))) == [(1, 3, 3), (3, 1, 3), (3, 3, 1)]

@@ -35,12 +35,12 @@ def test_suite_registry():
 def test_small_suites_pass():
     assert verify_oracle(trials=10, max_n=3, seed=1).ok
     assert verify_hopf(trials=3, max_n=3, seed=1).ok
-    assert verify_tables(n=2, sym_n=2).ok
+    assert verify_tables(n=2).ok
     assert verify_r_closure(n_qsym=3, n_nc=3, r=2, seed=1, trials=3).ok
 
 
 def test_result_json_shape():
-    result = verify_tables(n=1, sym_n=1)
+    result = verify_tables(n=1)
     data = result.to_json()
     assert data["suite"] == "tables"
     assert data["ok"] is True
@@ -61,7 +61,7 @@ def test_fail_records_first_counterexample_only():
 RUNS = {
     "oracle": lambda: verify_oracle(trials=2, max_n=1, seed=0),
     "hopf": lambda: verify_hopf(trials=2, max_n=1, seed=0),
-    "tables": lambda: verify_tables(n=2, sym_n=2),
+    "tables": lambda: verify_tables(n=2),
     "r-closure": lambda: verify_r_closure(n_qsym=1, n_nc=1, r=2, seed=0, trials=1),
 }
 
