@@ -102,7 +102,6 @@ from .ncqsym import (
     mr_inject_check,
     ncqsym_from_json,
     ncqsym_to_json,
-    ncsym_m_expr,
     r_regroup,
     r_regroup_tensor,
     rho,

@@ -14,6 +14,7 @@ Equality of the induced chromatic expansions is the observable.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -79,9 +80,6 @@ def make(n: int, edges=()) -> EdgeColouredDigraph:
     return EdgeColouredDigraph(n, frozenset(out))
 
 
-EMPTY = make(0)
-
-
 @dataclass(frozen=True)
 class LabelledDigraph:
     """An edge-coloured digraph plus a bijective vertex labelling.
@@ -100,9 +98,6 @@ class LabelledDigraph:
             raise ValueError(f"labels must be distinct: {self.labels}")
         if any(l < 1 for l in self.labels):
             raise ValueError("labels must be positive integers")
-
-    def label_set(self) -> frozenset[int]:
-        return frozenset(self.labels)
 
     def __repr__(self):
         return f"Labelled({self.graph!r}, labels={list(self.labels)})"
@@ -131,48 +126,50 @@ def standardize_labels(lg: LabelledDigraph) -> LabelledDigraph:
 # ---------------------------------------------------------------------------
 # combination operators
 
-def combine(kind: str, g1: EdgeColouredDigraph, g2: EdgeColouredDigraph) -> EdgeColouredDigraph:
-    """Disjoint union, or the dashed/solid/double sum of two digraphs.
+def combine_chain(kind: str, graphs) -> EdgeColouredDigraph:
+    """Disjoint union, or the dashed/solid/double sum, of a sequence of
+    digraphs, in one pass.
 
-    The three sums additionally connect every vertex of g1 to every
-    vertex of g2 with the respective edge colour.
+    Each part's vertices follow those of the parts before it. The three
+    sums additionally connect every earlier vertex to every vertex of
+    the part with the respective edge colour. The sums are associative,
+    so this is also the left fold of the two-part sum.
     """
     if kind not in COMBINE_KINDS:
         raise ValueError(f"unknown combination kind {kind!r}")
-    shift = g1.n
-    edges = set(g1.edges)
-    edges.update((u + shift, v + shift, c) for u, v, c in g2.edges)
-    if kind != "disjoint":
-        cross = _CROSS[kind]
-        edges.update((a, b + shift, cross) for a in range(g1.n) for b in range(g2.n))
-    return EdgeColouredDigraph(g1.n + g2.n, frozenset(edges))
-
-
-def combine_chain(kind: str, graphs) -> EdgeColouredDigraph:
-    """Left fold of combine over a sequence (empty sequence gives the empty digraph)."""
-    out = EMPTY
+    cross = _CROSS.get(kind)
+    edges = []
+    n = 0
     for g in graphs:
-        out = combine(kind, out, g)
-    return out
+        edges.extend((u + n, v + n, c) for u, v, c in g.edges)
+        if cross is not None:
+            edges.extend((a, b, cross) for a in range(n) for b in range(n, n + g.n))
+        n += g.n
+    return EdgeColouredDigraph(n, frozenset(edges))
+
+
+def combine(kind: str, g1: EdgeColouredDigraph, g2: EdgeColouredDigraph) -> EdgeColouredDigraph:
+    """The two-part case of combine_chain."""
+    return combine_chain(kind, (g1, g2))
+
+
+def combine_chain_labelled(kind: str, lgs) -> LabelledDigraph:
+    """Labelled combine_chain: the labels concatenate in order, and the
+    label sets must be pairwise disjoint."""
+    lgs = list(lgs)
+    labels = tuple(itertools.chain.from_iterable(lg.labels for lg in lgs))
+    if len(set(labels)) != len(labels):
+        raise ValueError("label sets overlap (pass shift=True to auto-shift)")
+    return LabelledDigraph(combine_chain(kind, [lg.graph for lg in lgs]), labels)
 
 
 def combine_labelled(kind: str, lg1: LabelledDigraph, lg2: LabelledDigraph,
                      shift: bool = False) -> LabelledDigraph:
     """Labelled combination; label sets must be disjoint unless shift is set,
     in which case |V(g1)| is added to every label of lg2."""
-    labels2 = lg2.labels
     if shift:
-        labels2 = tuple(l + lg1.graph.n for l in labels2)
-    if set(lg1.labels) & set(labels2):
-        raise ValueError("label sets overlap (pass shift=True to auto-shift)")
-    return LabelledDigraph(combine(kind, lg1.graph, lg2.graph), lg1.labels + labels2)
-
-
-def combine_chain_labelled(kind: str, lgs) -> LabelledDigraph:
-    out = labelled(EMPTY)
-    for lg in lgs:
-        out = combine_labelled(kind, out, lg)
-    return out
+        lg2 = LabelledDigraph(lg2.graph, tuple(l + lg1.graph.n for l in lg2.labels))
+    return combine_chain_labelled(kind, (lg1, lg2))
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +322,11 @@ def from_weighted(h: SimpleGraph, weights) -> EdgeColouredDigraph:
     weights = [int(weights[v]) for v in range(h.n)]
     if any(w < 1 for w in weights):
         raise ValueError("weights must be positive")
-    offsets = []
-    total = 0
-    parts = []
-    for w in weights:
-        offsets.append(total)
-        parts.append(atom("C", w))
-        total += w
-    g = combine_chain("disjoint", parts)
+    g = combine_chain("disjoint", [atom("C", w) for w in weights])
+    offsets = list(itertools.accumulate(weights, initial=0))
     edges = set(g.edges)
     edges.update((offsets[a], offsets[b], NEQ) for a, b in h.edge_list())
-    return EdgeColouredDigraph(total, frozenset(edges))
+    return EdgeColouredDigraph(g.n, frozenset(edges))
 
 
 def underlying_graph(d: EdgeColouredDigraph) -> SimpleGraph:
@@ -467,24 +458,28 @@ def closed_subsets(g: EdgeColouredDigraph):
 # ---------------------------------------------------------------------------
 # orientations and balance
 
+def _orientation_arcs(h: SimpleGraph):
+    """The arc lists of all 2^|E| orientations of a graph: the edges run
+    low to high, flipped as itertools.product counts through the flips."""
+    pairs = h.edge_list()
+    for flips in itertools.product((False, True), repeat=len(pairs)):
+        yield [(b, a) if flip else (a, b) for (a, b), flip in zip(pairs, flips)]
+
+
 def orientations(h: SimpleGraph):
     """All 2^|E| orientations of a graph, as all-solid digraphs."""
-    edge_pairs = h.edge_list()
-    out = []
-    for flips in itertools.product((False, True), repeat=len(edge_pairs)):
-        edges = [((b, a, LT) if flip else (a, b, LT))
-                 for (a, b), flip in zip(edge_pairs, flips)]
-        out.append(make(h.n, edges))
-    return out
+    return [make(h.n, [(u, v, LT) for u, v in arcs]) for arcs in _orientation_arcs(h)]
 
 
 def balanced_orientations(h: SimpleGraph, k: int):
     """The k-balanced orientations of a graph, in the order of
-    `orientations`; the cycles of h are found once for all of them."""
+    `orientations`; the cycles of h are found once for all of them, and
+    only the orientations kept are built."""
     if k < 1:
         raise ValueError("k must be positive")
     cycles = simple_cycles(h)
-    return [o for o in orientations(h) if _k_balanced(o, cycles, k)]
+    return [make(h.n, [(u, v, LT) for u, v in arcs]) for arcs in _orientation_arcs(h)
+            if _k_balanced(arcs, cycles, k)]
 
 
 def simple_cycles(h: SimpleGraph):
@@ -512,11 +507,12 @@ def simple_cycles(h: SimpleGraph):
 
 def is_k_balanced(orientation: EdgeColouredDigraph, k: int) -> bool:
     """Whether every weak cycle has at least k edges in each direction."""
-    return _k_balanced(orientation, simple_cycles(underlying_graph(orientation)), k)
+    return _k_balanced([(u, v) for u, v, _ in orientation.edges],
+                       simple_cycles(underlying_graph(orientation)), k)
 
 
-def _k_balanced(orientation: EdgeColouredDigraph, cycles, k: int) -> bool:
-    arcs = {(u, v) for u, v, _ in orientation.edges}
+def _k_balanced(arcs, cycles, k: int) -> bool:
+    arcs = set(arcs)
     for cycle in cycles:
         forward = sum(1 for i in range(len(cycle))
                       if (cycle[i], cycle[(i + 1) % len(cycle)]) in arcs)
@@ -662,8 +658,9 @@ def _is_int(value) -> bool:
 
 _DSL_ATOMS = {"C", "P", "Q", "K"}
 _DSL_OPS = {"U": "disjoint", "D": "dashed", "S": "solid", "W": "double"}
-_DSL_CHAINS = {"Uchain": "disjoint", "Dchain": "dashed",
-               "Schain": "solid", "Wchain": "double"}
+_DSL_OPS |= {name + "chain": kind for name, kind in _DSL_OPS.items()}
+# a run of letters and digits, or any other single non-space character
+_DSL_TOKEN = re.compile(r"[^\W_]+|\S")
 
 
 def parse_dsl(text: str) -> EdgeColouredDigraph:
@@ -716,7 +713,7 @@ def parse_dsl(text: str) -> EdgeColouredDigraph:
             return comp_grid(parse_args(parse_int))
         if name == "rcgrid":
             return comp_grid(parse_args(parse_int), row_strict=True)
-        kind = _DSL_OPS.get(name) or _DSL_CHAINS.get(name)
+        kind = _DSL_OPS.get(name)
         if kind is None:
             raise ValueError(f"unknown builder name {name!r}")
         return combine_chain(kind, parse_args(parse_expr))
@@ -731,21 +728,8 @@ def parse_dsl(text: str) -> EdgeColouredDigraph:
 
 
 def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "(),":
-            tokens.append(ch)
-            i += 1
-        elif ch.isalnum():
-            j = i
-            while j < len(text) and text[j].isalnum():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise ValueError(f"bad character {ch!r} in {text!r}")
+    tokens = _DSL_TOKEN.findall(text)
+    for tok in tokens:
+        if not (tok.isalnum() or tok in "(),"):
+            raise ValueError(f"bad character {tok!r} in {text!r}")
     return tokens

@@ -174,12 +174,6 @@ def _basis_nc(kind: str, phi) -> NCQSymExpr:
     return NCQSymExpr._of(dict.fromkeys(members, 1))
 
 
-def ncsym_m_expr(pi) -> NCQSymExpr:
-    """Monomial symmetric function in noncommuting variables, directly:
-    the sum of M over all orderings of the blocks."""
-    return _ncsym_m_sum(((_check_key(set_partition(pi)), 1),))
-
-
 def _ncsym_m_sum(weighted) -> NCQSymExpr:
     """The sum of c * m_sigma over (sigma, c) for distinct canonical set
     partitions of [n] and nonzero c: the block orders are distinct

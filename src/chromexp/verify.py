@@ -17,15 +17,12 @@ from fractions import Fraction
 from . import chromatic, combinat, graph as gr, ncqsym, oracle, qsym
 from .combinat import (
     compositions,
-    coarsenings,
     partitions,
     r_compositions,
     r_set_compositions,
     set_compositions,
     set_partitions,
     shape_partition,
-    lambda_factorial,
-    lambda_superfactorial,
 )
 from .graph import digraph_to_json
 from .linalg import exact_rank
@@ -254,6 +251,12 @@ def _immaculate_contents(alpha, row_strict: bool) -> dict[tuple, int]:
     return combinat.tableau_contents(alpha, admissible)
 
 
+def _consecutive_blocks(parts):
+    """The set composition of [sum(parts)] into consecutive blocks of the given sizes."""
+    ends = itertools.accumulate(parts)
+    return tuple(tuple(range(end - p + 1, end + 1)) for p, end in zip(parts, ends))
+
+
 def _scalar_vector(f) -> dict:
     """The coefficients of f at t = 1, as Fractions for exact_rank."""
     return {k: Fraction(evaluate(c, 1)) for k, c in f.terms.items()}
@@ -271,11 +274,11 @@ def verify_tables(n: int = 5):
                 yield _check(qsym.basis_sym(kind, lam)
                              == chromatic.expand(gr.sym_basis_digraph(kind, lam)).at_t(1),
                              table="sym", kind=kind, index=list(lam))
-            yield _check(qsym.basis_sym("maug", lam)
-                         == qsym.basis_sym("m", lam).scale(lambda_superfactorial(lam)),
+            # rho(m_pi) = maug_lam and rho(e_pi) = lam! e_lam (Rosas-Sagan 2006)
+            pi = _consecutive_blocks(lam)
+            yield _check(qsym.basis_sym("maug", lam) == rho(basis_ncsym("m", pi)),
                          table="sym", kind="maug-scaling", index=list(lam))
-            yield _check(qsym.basis_sym("eaug", lam)
-                         == qsym.basis_sym("e", lam).scale(lambda_factorial(lam)),
+            yield _check(qsym.basis_sym("eaug", lam) == rho(basis_ncsym("e", pi)),
                          table="sym", kind="eaug-scaling", index=list(lam))
 
         for alpha in compositions(m):
@@ -284,9 +287,9 @@ def verify_tables(n: int = 5):
                 yield _check(maker(alpha)
                              == chromatic.expand(gr.qsym_basis_digraph(kind, alpha)).at_t(1),
                              table="qsym", kind=kind, index=list(alpha))
-            # upper-fundamental expansion identity
+            # the upper fundamental is rho of its noncommutative lift
             yield _check(qsym.basis_Fbar(alpha)
-                         == QSymExpr({g: 1 for g in coarsenings(alpha)}),
+                         == rho(basis_nc("Fbar", _consecutive_blocks(alpha))),
                          table="qsym", kind="Fbar-coarsening", index=list(alpha))
             # composition grids against the tableau oracle
             for row_strict in (False, True):

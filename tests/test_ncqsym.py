@@ -40,7 +40,6 @@ from chromexp.ncqsym import (
     mr_inject_check,
     ncqsym_from_json,
     ncqsym_to_json,
-    ncsym_m_expr,
     r_regroup,
     r_regroup_tensor,
     rho,
@@ -84,7 +83,7 @@ def random_labelled(rng, max_n, min_n=1):
 
 def test_expand_nc_monomial_example():
     lg = ncsym_basis_digraph("m", sp((1, 3), (2, 4)))
-    assert expand_nc(lg).at_t(1) == ncsym_m_expr(sp((1, 3), (2, 4)))
+    assert expand_nc(lg).at_t(1) == basis_ncsym("m", sp((1, 3), (2, 4)))
 
 
 def test_expand_nc_power_sum_example():
