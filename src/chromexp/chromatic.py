@@ -144,17 +144,33 @@ def expand(g: EdgeColouredDigraph, stats: dict | None = None) -> QSymExpr:
                         for weight, acc in by_weight.items()
                         for comp, packed in acc.items()}
 
-    digit = (1 << width) - 1
     terms = {}
     for comp, packed in (memo[0] if con.feasible else {}).items():
-        coeffs = []
-        while packed:
-            coeffs.append(packed & digit)
-            packed >>= width
+        coeffs = _digits(packed, width, -(-packed.bit_length() // width))
         terms[comp] = TPoly._new(tuple(coeffs))  # the top digit is nonzero
     out = QSymExpr._of(terms)
     if stats is not None:
         dp.record(stats, len(out.terms), start)
+    return out
+
+
+def _digits(packed: int, width: int, count: int) -> list:
+    """The count lowest digits of packed in base 2**width, lowest first.
+
+    Above 64 digits the int is split in halves, recursively: shifting
+    one digit off at a time copies the whole int per digit, which is
+    quadratic in the count. At 64 or fewer the shifts are cheaper.
+    """
+    if count > 64:
+        half = count // 2
+        shift = half * width
+        return (_digits(packed & ((1 << shift) - 1), width, half)
+                + _digits(packed >> shift, width, count - half))
+    digit = (1 << width) - 1
+    out = []
+    for _ in range(count):
+        out.append(packed & digit)
+        packed >>= width
     return out
 
 

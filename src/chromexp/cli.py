@@ -94,6 +94,66 @@ def _dumps(data) -> str:
     return "".join(chunks)
 
 
+def _emit_terms(doc) -> None:
+    sys.stdout.write(_dumps_terms(doc))
+
+
+def _dumps_terms(doc) -> str:
+    """The text of json.dumps(doc, indent=2) and a newline, byte for byte,
+    for a {"terms": rows} document such as the nc builders return.
+
+    Each row is a nonempty dict with str keys, and each of its values is
+    a list of ints and strs or a list of such lists. The builders share
+    one list per distinct block and coefficient, so each list object is
+    rendered once per indent, memoised on (pad, id(list)). The rows are
+    then laid out from those texts with no walk by type, and the whole
+    text, newline included, is joined once.
+    """
+    rows = doc["terms"]
+    if not rows:
+        return '{\n  "terms": []\n}\n'
+    memos = {}  # pad -> {id(list): its text on a line indented by pad}
+    names = {}
+
+    def render(value, pad):  # pad: a newline and the indent of value's line
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        if type(value[0]) is list:
+            memo = memos.setdefault(inner, {})
+            ids = list(map(id, value))
+            items = list(map(memo.get, ids))
+            if None in items:
+                for i, text in enumerate(items):
+                    if text is None:
+                        items[i] = memo[ids[i]] = render(value[i], inner)
+        else:
+            items = [str(x) if type(x) is int else json.dumps(x) for x in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+    pad = "\n      "  # a row's fields sit at depth 3
+    memo = memos[pad] = {}
+    field_sep, row_sep = "," + pad, "\n    },\n    {" + pad
+    pieces = []  # the text in order; a shared text is copied only by the join
+    append = pieces.append
+    for row in rows:
+        append(row_sep)
+        for key, value in row.items():
+            text = memo.get(id(value))
+            if text is None:
+                text = memo[id(value)] = render(value, pad)
+            name = names.get(key)
+            if name is None:
+                name = names[key] = json.dumps(key) + ": "
+            append(name)
+            append(text)
+            append(field_sep)
+        pieces.pop()
+    pieces[0] = '{\n  "terms": [\n    {' + pad
+    append("\n    }\n  ]\n}\n")
+    return "".join(pieces)
+
+
 def _read_json(path: str):
     """The JSON value in the file at path ('-' reads stdin)."""
     if path == "-":
@@ -136,11 +196,11 @@ def _common_flags(sub):
     sub.add_argument("--pretty", action="store_true", help="readable text output")
 
 
-def _print(value, to_json, pretty: bool):
+def _print(value, to_json, emit, pretty: bool):
     if pretty:
         print(value.pretty())
     else:
-        _emit(to_json(value))
+        emit(to_json(value))
 
 
 def _report_stats(stats) -> None:
@@ -179,6 +239,7 @@ class _Algebra:
     coproduct: Callable
     tensor_to_json: Callable
     coordinates: Callable  # (expansion, --basis) -> coordinates, prefix, index format
+    emit: Callable         # writes a to_json or tensor_to_json document
 
 
 # --nc selects the row
@@ -189,14 +250,16 @@ _ALGEBRAS = {
         to_json=lambda f: qsym.qsym_to_json(f),
         coproduct=lambda f: qsym.coproduct(f),
         tensor_to_json=lambda t: qsym.qsym_tensor_to_json(t),
-        coordinates=_qsym_coordinates),
+        coordinates=_qsym_coordinates,
+        emit=_emit),
     True: _Algebra(
         expand=lambda g, stats: ncqsym.expand_nc(
             g if isinstance(g, gr.LabelledDigraph) else gr.labelled(g), stats),
         to_json=lambda f: ncqsym.ncqsym_to_json(f),
         coproduct=lambda f: ncqsym.coproduct_nc(f),
         tensor_to_json=lambda t: ncqsym.ncqsym_tensor_to_json(t),
-        coordinates=_ncqsym_coordinates),
+        coordinates=_ncqsym_coordinates,
+        emit=_emit_terms),
 }
 
 
@@ -212,7 +275,7 @@ def _cmd_expand(args) -> int:
     if not args.t:
         f = f.at_t(1)
     if args.basis in (None, "M"):
-        _print(f, algebra.to_json, args.pretty)
+        _print(f, algebra.to_json, algebra.emit, args.pretty)
         return 0
     coords, prefix, index_format = algebra.coordinates(f, args.basis)
     items = sorted(coords.items())
@@ -236,7 +299,7 @@ def _cmd_poly(args) -> int:
         else:
             _emit({"p": args.eval, "value": value})
         return 0
-    _print(poly, qsym.rational_poly_to_json, args.pretty)
+    _print(poly, qsym.rational_poly_to_json, _emit, args.pretty)
     return 0
 
 
@@ -254,7 +317,7 @@ def _cmd_coproduct(args) -> int:
     algebra = _ALGEBRAS[args.nc]
     f = algebra.expand(g, None)
     f = f if args.t else f.at_t(1)
-    _print(algebra.coproduct(f), algebra.tensor_to_json, args.pretty)
+    _print(algebra.coproduct(f), algebra.tensor_to_json, algebra.emit, args.pretty)
     return 0
 
 
@@ -266,7 +329,7 @@ def _cmd_product(args) -> int:
     f, g = (algebra.expand(h, None) for h in graphs)
     out = f * g
     out = out if args.t else out.at_t(1)
-    _print(out, algebra.to_json, args.pretty)
+    _print(out, algebra.to_json, algebra.emit, args.pretty)
     return 0
 
 

@@ -17,6 +17,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 from .combinat import partition, composition
 
@@ -47,8 +48,9 @@ class EdgeColouredDigraph:
     edges: frozenset
 
     def edge_list(self):
-        """Edges sorted for deterministic iteration."""
-        return sorted(self.edges, key=lambda e: (e[0], e[1], e[2].value))
+        """Edges sorted for deterministic iteration. make allows one edge
+        per ordered pair, so (u, v) alone orders them."""
+        return sorted(self.edges, key=itemgetter(0, 1))
 
     def edges_of(self, kind: EdgeConstraint):
         return [e for e in self.edge_list() if e[2] is kind]
@@ -487,21 +489,25 @@ def simple_cycles(h: SimpleGraph):
     smallest vertex with the smaller neighbour second."""
     adj = {v: set(h.neighbours(v)) for v in range(h.n)}
     cycles = []
-
-    def extend(path, allowed):
-        last = path[-1]
-        for nxt in sorted(adj[last] & allowed):
-            if nxt == path[0] and len(path) >= 3:
-                if path[1] < path[-1]:
-                    cycles.append(tuple(path))
-                continue
-            if nxt in path:
-                continue
-            extend(path + [nxt], allowed)
-
     for start in range(h.n):
-        allowed = {v for v in range(h.n) if v >= start}
-        extend([start], allowed)
+        allowed = set(range(start, h.n))
+        # a depth-first walk over the simple paths from start, with one
+        # iterator of sorted neighbours per path vertex
+        path, on_path = [start], {start}
+        stack = [iter(sorted(adj[start] & allowed))]
+        while stack:
+            for nxt in stack[-1]:
+                if nxt == start and len(path) >= 3:
+                    if path[1] < path[-1]:
+                        cycles.append(tuple(path))
+                elif nxt not in on_path:
+                    path.append(nxt)
+                    on_path.add(nxt)
+                    stack.append(iter(sorted(adj[nxt] & allowed)))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(path.pop())
     return cycles
 
 

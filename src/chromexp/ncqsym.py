@@ -350,11 +350,31 @@ def to_ncsym_m(f: NCQSymExpr) -> dict:
 # JSON forms
 
 def ncqsym_to_json(f: NCQSymExpr) -> dict:
-    return {
-        "terms": [{"set_composition": [list(b) for b in phi],
-                   "coeff_t": tpoly_to_json(coeff)}
-                  for phi, coeff in f.items_sorted()],
-    }
+    """The terms of f in sort order: each set composition as a list of
+    blocks, with its coefficient's list of powers of t.
+
+    The terms share one list per distinct block and one coeff_t list
+    per distinct coefficient, so the returned lists are read-only.
+    """
+    blocks, coeffs, terms = {}, {}, []
+    for phi, coeff in f.items_sorted():
+        coeff_t = coeffs.get(coeff)
+        if coeff_t is None:
+            coeff_t = coeffs[coeff] = tpoly_to_json(coeff)
+        terms.append({"set_composition": _block_lists(phi, blocks), "coeff_t": coeff_t})
+    return {"terms": terms}
+
+
+def _block_lists(phi, blocks: dict) -> list:
+    """phi as a list of its blocks' lists, each taken from blocks (block
+    -> list), or made and added there on its first occurrence."""
+    out = []
+    for b in phi:
+        block = blocks.get(b)
+        if block is None:
+            block = blocks[b] = list(b)
+        out.append(block)
+    return out
 
 
 def ncqsym_from_json(data) -> NCQSymExpr:
@@ -364,11 +384,26 @@ def ncqsym_from_json(data) -> NCQSymExpr:
 
 
 def ncqsym_tensor_to_json(t: NCQSymTensor) -> dict:
-    return {
-        "terms": [{"left": [list(b) for b in a], "right": [list(b) for b in b_],
-                   "coeff_t": tpoly_to_json(coeff)}
-                  for (a, b_), coeff in t.items_sorted()],
-    }
+    """The terms of t in sort order: each leg as a list of blocks, with
+    the coefficient's list of powers of t.
+
+    The terms share one list per distinct leg, one per distinct block
+    and one coeff_t list per distinct coefficient, so the returned lists
+    are read-only.
+    """
+    blocks, legs, coeffs, terms = {}, {}, {}, []
+    for (a, b_), coeff in t.items_sorted():
+        left = legs.get(a)
+        if left is None:
+            left = legs[a] = _block_lists(a, blocks)
+        right = legs.get(b_)
+        if right is None:
+            right = legs[b_] = _block_lists(b_, blocks)
+        coeff_t = coeffs.get(coeff)
+        if coeff_t is None:
+            coeff_t = coeffs[coeff] = tpoly_to_json(coeff)
+        terms.append({"left": left, "right": right, "coeff_t": coeff_t})
+    return {"terms": terms}
 
 
 def r_coordinates_to_json(coords: dict) -> dict:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from chromexp.chromatic import (
+    _digits,
     chromatic_number,
     coproduct_digraph,
     crew_spirkl,
@@ -281,3 +282,35 @@ def test_p_partition_adapter_matches_literal_enumeration():
         f = p_partition_gf(sorted(less), elements)
         assert realize(f, n) == _literal_p_partitions(elements, sorted(less), n)
         done += 1
+
+
+def digit_loop(packed, width):
+    """expand's unpack before the split in halves: one digit shifted off
+    at a time."""
+    digit = (1 << width) - 1
+    coeffs = []
+    while packed:
+        coeffs.append(packed & digit)
+        packed >>= width
+    return coeffs
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 20, 64, 65])
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 1000])
+def test_digits_by_halving_match_the_digit_loop(count, width):
+    rng = random.Random(count * 1000 + width)
+    for zero_share in (0.0, 0.5, 0.95):
+        # runs of zero digits leave the halves with leading zeros
+        digits = [0 if rng.random() < zero_share else rng.getrandbits(width)
+                  for _ in range(count - 1)]
+        digits.append(rng.randrange(1, 1 << width))  # the top digit is nonzero
+        packed = sum(d << (i * width) for i, d in enumerate(digits))
+        assert _digits(packed, width, count) == digit_loop(packed, width) == digits
+    assert _digits(0, width, 0) == digit_loop(0, width) == []
+
+
+def test_expand_keeps_its_coefficients_past_64_powers_of_t():
+    """A solid path's 65 rising edges make t^65, the single term of its
+    expansion, which is unpacked by halving."""
+    assert expand(make(66, [(i, i + 1, "lt") for i in range(65)])).terms == {
+        (1,) * 66: TPoly.t_power(65)}

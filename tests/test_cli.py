@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chromexp import ncqsym, verify as verify_mod
+from chromexp import cli, ncqsym, verify as verify_mod
 from chromexp.chromatic import expand
 from chromexp.graph import digraph_from_json, digraph_to_json, parse_dsl
 from chromexp.cli import main
@@ -315,6 +315,17 @@ def test_out_of_memory_exits_three_with_one_line(capsys):
     assert code == 3
     assert captured.out == ""
     assert captured.err == "error: coproduct: out of memory\n"
+
+
+def test_out_of_memory_in_the_row_writer_exits_three_with_one_line(capsys):
+    """The row writer joins the whole text before anything is written,
+    so a MemoryError while writing leaves stdout empty."""
+    with mock.patch.object(cli, "_dumps_terms", side_effect=MemoryError):
+        code = main(["expand", "--nc", "--dsl", "U(P(2),C(1))"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: expand: out of memory\n"
 
 
 OUT_OF_MEMORY = """

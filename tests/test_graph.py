@@ -317,6 +317,46 @@ def test_simple_cycles_counts():
     assert len(simple_cycles(k4)) == 7  # four triangles and three squares
 
 
+def recursive_simple_cycles(h):
+    """The recursive cycle search that graph.simple_cycles replaced: the
+    reference for its order."""
+    adj = {v: set(h.neighbours(v)) for v in range(h.n)}
+    cycles = []
+
+    def extend(path, allowed):
+        last = path[-1]
+        for nxt in sorted(adj[last] & allowed):
+            if nxt == path[0] and len(path) >= 3:
+                if path[1] < path[-1]:
+                    cycles.append(tuple(path))
+                continue
+            if nxt in path:
+                continue
+            extend(path + [nxt], allowed)
+
+    for start in range(h.n):
+        extend([start], {v for v in range(h.n) if v >= start})
+    return cycles
+
+
+def test_simple_cycles_match_the_recursive_search_in_order():
+    graphs = [simple_graph(n, itertools.combinations(range(n), 2)) for n in (4, 5, 6)]
+    rng = random.Random(20261019)
+    for _ in range(40):
+        n = rng.randint(0, 7)
+        graphs.append(simple_graph(n, [p for p in itertools.combinations(range(n), 2)
+                                       if rng.random() < 0.5]))
+    for h in graphs:
+        assert simple_cycles(h) == recursive_simple_cycles(h)
+    assert len(simple_cycles(graphs[2])) == 197  # K6
+
+
+def test_simple_cycles_of_a_cycle_longer_than_the_recursion_limit():
+    n = 1100
+    h = simple_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    assert simple_cycles(h) == [(0, 1, *range(2, n))]
+
+
 def _proper_colourings(h, top):
     for colours in itertools.product(range(1, top + 1), repeat=h.n):
         if all(colours[a] != colours[b] for a, b in h.edge_list()):
@@ -340,6 +380,19 @@ def test_colouring_orientations_are_one_balanced_sampled_n5():
         h = simple_graph(5, edges)
         for colours in _proper_colourings(h, 5):
             assert is_k_balanced(colouring_orientation(h, colours), 1)
+
+
+def test_edge_list_order_is_unchanged_on_mixed_colours():
+    """Ordered pairs never repeat, so sorting on (u, v) alone gives the
+    order of the old key (u, v, colour value)."""
+    rng = random.Random(7)
+    graphs = [random_digraph(rng, 7) for _ in range(60)]
+    graphs.append(parse_dsl("S(D(C(2),U(C(1),C(1))),W(C(1),C(2)))"))
+    mixed = 0
+    for g in graphs:
+        assert g.edge_list() == sorted(g.edges, key=lambda e: (e[0], e[1], e[2].value))
+        mixed += {c for _, _, c in g.edges} == {NEQ, LT, LEQ}
+    assert mixed >= 20
 
 
 def test_underlying_graph():

@@ -1,19 +1,33 @@
-"""Differential checks of the CLI's JSON writer.
+"""Differential checks of the CLI's JSON writers.
 
 `cli._dumps` must give the text of `json.dumps(data, indent=2)` byte for
-byte; `json.dumps` is the reference. The hypothesis documents mix what
-the writer renders itself (dicts with str keys, lists and tuples, lists
-of ints that repeat) with what it hands back to json (other scalars,
-empty containers, dicts with non-str keys), at every depth.
+byte, and the row writer `cli._dumps_terms` that text and a newline;
+`json.dumps` is the reference. The hypothesis documents for `_dumps` mix what the writer
+renders itself (dicts with str keys, lists and tuples, lists of ints
+that repeat) with what it hands back to json (other scalars, empty
+containers, dicts with non-str keys), at every depth. The row writer is
+checked on what the nc builders return.
 """
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chromexp import cli
 from chromexp.cli import main
+from chromexp.graph import labelled, make
+from chromexp.ncqsym import (
+    NCQSymExpr,
+    coproduct_nc,
+    expand_nc,
+    ncqsym_tensor_to_json,
+    ncqsym_to_json,
+)
+from chromexp.tpoly import tpoly_to_json
+from chromexp.verify import random_labelled_digraph
 
 TEXT = st.one_of(
     st.text(max_size=6),
@@ -63,6 +77,56 @@ def test_writer_matches_json_dumps_on_repeated_int_lists_at_several_depths():
     assert cli._dumps(data) == json.dumps(data, indent=2)
 
 
+def unshared_to_json(f):
+    """ncqsym_to_json as it was before its terms shared lists."""
+    return {"terms": [{"set_composition": [list(b) for b in phi],
+                       "coeff_t": tpoly_to_json(coeff)}
+                      for phi, coeff in f.items_sorted()]}
+
+
+def unshared_tensor_to_json(t):
+    """ncqsym_tensor_to_json as it was before its terms shared lists."""
+    return {"terms": [{"left": [list(b) for b in a], "right": [list(b) for b in b_],
+                       "coeff_t": tpoly_to_json(coeff)}
+                      for (a, b_), coeff in t.items_sorted()]}
+
+
+def assert_rows_match(f):
+    """The sharing builders equal the unshared ones, and the row writer
+    prints json.dumps' text of what they return."""
+    tensor = coproduct_nc(f)
+    for doc, reference in ((ncqsym_to_json(f), unshared_to_json(f)),
+                           (ncqsym_tensor_to_json(tensor), unshared_tensor_to_json(tensor))):
+        assert doc == reference
+        assert cli._dumps_terms(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32),
+       keep_t=st.booleans(),
+       factor=st.sampled_from([1, -3, Fraction(1, 3), Fraction(-7, 2), Fraction(10**20, 7)]))
+def test_row_writer_matches_json_dumps_on_nc_expansions(seed, keep_t, factor):
+    lg = random_labelled_digraph(random.Random(seed), 6, min_n=0)
+    f = expand_nc(lg)
+    assert_rows_match((f if keep_t else f.at_t(1)).scale(factor))
+
+
+def test_row_writer_on_empty_expansions_and_empty_legs():
+    zero = NCQSymExpr.zero()
+    assert ncqsym_to_json(zero) == {"terms": []}
+    assert cli._dumps_terms({"terms": []}) == json.dumps({"terms": []}, indent=2) + "\n"
+    # a double-edge cycle with a dashed edge inside expands to zero
+    infeasible = expand_nc(labelled(make(3, [(0, 1, "leq"), (1, 2, "leq"), (2, 0, "leq"),
+                                             (0, 2, "neq")])))
+    assert infeasible == zero
+    for f in (zero, expand_nc(labelled(make(0))), expand_nc(labelled(make(2))),
+              expand_nc(labelled(make(3, [(0, 1, "lt")]))).scale(Fraction(-1, 2))):
+        assert_rows_match(f)
+    # every coproduct has a term with an empty left and one with an empty right leg
+    rows = ncqsym_tensor_to_json(coproduct_nc(expand_nc(labelled(make(2)))))["terms"]
+    assert any(not row["left"] for row in rows) and any(not row["right"] for row in rows)
+
+
 @pytest.fixture
 def balanced_graph(tmp_path):
     path = tmp_path / "h.json"
@@ -83,24 +147,35 @@ CALL_SITES = {
     "coproduct": ["coproduct", "--dsl", "S(C(2),C(1))", "--t"],
     "coproduct-nc": ["coproduct", "--nc", "--dsl", "S(C(2),C(1))"],
     "product": ["product", "--dsl", "C(2)", "--dsl", "S(C(1),C(1))"],
+    "product-nc": ["product", "--nc", "--dsl", "C(1)", "--dsl", "S(C(1),C(1))", "--t"],
     "verify": ["verify", "--suite", "tables", "--n", "3"],
     "bases": ["bases", "--space", "ncqsym-r", "--n", "3", "--kind", "M"],
     "mr": ["mr", "3142"],
     "balanced": ["balanced", "--graph", "GRAPH", "--k", "1"],
 }
 
+# the nc expansion and tensor documents go through the row writer
+ROW_SITES = {"expand-nc", "coproduct-nc", "product-nc"}
+
 
 @pytest.mark.parametrize("site", sorted(CALL_SITES))
 def test_every_emit_site_prints_json_dumps_text(site, balanced_graph, monkeypatch, capsys):
+    """Each site hands one document to a writer, `_dumps` or the row
+    writer `_dumps_terms`, and prints json.dumps' text of it."""
     emitted = []
-    write = cli._dumps
 
-    def recording(data):
-        emitted.append(data)
-        return write(data)
+    def recording(name):
+        write = getattr(cli, name)
 
-    monkeypatch.setattr(cli, "_dumps", recording)
+        def record(data, *end):
+            emitted.append((name, data))
+            return write(data, *end)
+        return record
+
+    for name in ("_dumps", "_dumps_terms"):
+        monkeypatch.setattr(cli, name, recording(name))
     argv = [balanced_graph if a == "GRAPH" else a for a in CALL_SITES[site]]
     assert main(argv) == 0
-    (data,) = emitted
+    ((writer, data),) = emitted
+    assert writer == ("_dumps_terms" if site in ROW_SITES else "_dumps")
     assert capsys.readouterr().out == json.dumps(data, indent=2) + "\n"
