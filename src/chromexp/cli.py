@@ -37,11 +37,14 @@ from .tpoly import tpoly_to_json
 
 
 def _emit(data) -> None:
-    sys.stdout.write(_dumps(data) + "\n")
+    """Write one JSON document to stdout: a bare {"terms": rows}
+    document through the row writer, any other through _dumps."""
+    rows_only = type(data) is dict and data.keys() == {"terms"}
+    sys.stdout.write(_dumps_terms(data) if rows_only else _dumps(data))
 
 
 def _dumps(data) -> str:
-    """The text of json.dumps(data, indent=2), byte for byte.
+    """The text of json.dumps(data, indent=2) and a newline, byte for byte.
 
     With an indent, json encodes in pure Python, one generator per
     container. This writer renders each list of ints once per call and
@@ -91,16 +94,14 @@ def _dumps(data) -> str:
             append(json.dumps(value))
 
     write(data, "\n")
+    append("\n")
     return "".join(chunks)
-
-
-def _emit_terms(doc) -> None:
-    sys.stdout.write(_dumps_terms(doc))
 
 
 def _dumps_terms(doc) -> str:
     """The text of json.dumps(doc, indent=2) and a newline, byte for byte,
-    for a {"terms": rows} document such as the nc builders return.
+    for a {"terms": rows} document such as the nc builders and
+    qsym_tensor_to_json return.
 
     Each row is a nonempty dict with str keys, and each of its values is
     a list of ints and strs or a list of such lists. The builders share
@@ -196,11 +197,11 @@ def _common_flags(sub):
     sub.add_argument("--pretty", action="store_true", help="readable text output")
 
 
-def _print(value, to_json, emit, pretty: bool):
+def _print(value, to_json, pretty: bool):
     if pretty:
         print(value.pretty())
     else:
-        emit(to_json(value))
+        _emit(to_json(value))
 
 
 def _report_stats(stats) -> None:
@@ -239,7 +240,6 @@ class _Algebra:
     coproduct: Callable
     tensor_to_json: Callable
     coordinates: Callable  # (expansion, --basis) -> coordinates, prefix, index format
-    emit: Callable         # writes a to_json or tensor_to_json document
 
 
 # --nc selects the row
@@ -250,16 +250,14 @@ _ALGEBRAS = {
         to_json=lambda f: qsym.qsym_to_json(f),
         coproduct=lambda f: qsym.coproduct(f),
         tensor_to_json=lambda t: qsym.qsym_tensor_to_json(t),
-        coordinates=_qsym_coordinates,
-        emit=_emit),
+        coordinates=_qsym_coordinates),
     True: _Algebra(
         expand=lambda g, stats: ncqsym.expand_nc(
             g if isinstance(g, gr.LabelledDigraph) else gr.labelled(g), stats),
         to_json=lambda f: ncqsym.ncqsym_to_json(f),
         coproduct=lambda f: ncqsym.coproduct_nc(f),
         tensor_to_json=lambda t: ncqsym.ncqsym_tensor_to_json(t),
-        coordinates=_ncqsym_coordinates,
-        emit=_emit_terms),
+        coordinates=_ncqsym_coordinates),
 }
 
 
@@ -275,7 +273,7 @@ def _cmd_expand(args) -> int:
     if not args.t:
         f = f.at_t(1)
     if args.basis in (None, "M"):
-        _print(f, algebra.to_json, algebra.emit, args.pretty)
+        _print(f, algebra.to_json, args.pretty)
         return 0
     coords, prefix, index_format = algebra.coordinates(f, args.basis)
     items = sorted(coords.items())
@@ -299,7 +297,7 @@ def _cmd_poly(args) -> int:
         else:
             _emit({"p": args.eval, "value": value})
         return 0
-    _print(poly, qsym.rational_poly_to_json, _emit, args.pretty)
+    _print(poly, qsym.rational_poly_to_json, args.pretty)
     return 0
 
 
@@ -317,7 +315,7 @@ def _cmd_coproduct(args) -> int:
     algebra = _ALGEBRAS[args.nc]
     f = algebra.expand(g, None)
     f = f if args.t else f.at_t(1)
-    _print(algebra.coproduct(f), algebra.tensor_to_json, algebra.emit, args.pretty)
+    _print(algebra.coproduct(f), algebra.tensor_to_json, args.pretty)
     return 0
 
 
@@ -329,34 +327,33 @@ def _cmd_product(args) -> int:
     f, g = (algebra.expand(h, None) for h in graphs)
     out = f * g
     out = out if args.t else out.at_t(1)
-    _print(out, algebra.to_json, algebra.emit, args.pretty)
+    _print(out, algebra.to_json, args.pretty)
     return 0
 
 
-def _default(value, fallback):
-    """The flag's value, or the fallback when the flag was not given."""
-    return fallback if value is None else value
+def _given(**flags) -> dict:
+    """The flags given on the command line; each suite keeps its own
+    defaults for the others."""
+    return {name: value for name, value in flags.items() if value is not None}
 
 
 def _cmd_verify(args) -> int:
-    suite = args.suite
+    suite, n = args.suite, args.n
     if args.trials is not None and args.trials < 0:
         raise ValueError(f"--trials must be nonnegative, got {args.trials}")
-    if args.n is not None and args.n < 1:
-        raise ValueError(f"--n must be positive, got {args.n}")
+    if n is not None and n < 1:
+        raise ValueError(f"--n must be positive, got {n}")
+    # each suite is looked up on verify at call time, so one rebound there runs
     if suite == "oracle":
-        result = verify.verify_oracle(trials=_default(args.trials, 200),
-                                      max_n=_default(args.n, 5), seed=args.seed)
+        result = verify.verify_oracle(**_given(trials=args.trials, max_n=n, seed=args.seed))
     elif suite == "hopf":
-        result = verify.verify_hopf(trials=_default(args.trials, 50),
-                                    max_n=_default(args.n, 4), seed=args.seed)
+        result = verify.verify_hopf(**_given(trials=args.trials, max_n=n, seed=args.seed))
     elif suite == "tables":
-        result = verify.verify_tables(n=_default(args.n, 5))
+        result = verify.verify_tables(**_given(n=n))
     elif suite == "r-closure":
-        n = _default(args.n, 5)
-        result = verify.verify_r_closure(n_qsym=n, n_nc=min(n - 1, 4),
-                                         r=args.r, seed=args.seed,
-                                         trials=_default(args.trials, 20))
+        result = verify.verify_r_closure(**_given(
+            n_qsym=n, n_nc=None if n is None else min(n - 1, 4),
+            r=args.r, seed=args.seed, trials=args.trials))
     else:  # unreachable through argparse choices
         raise ValueError(f"unknown suite {suite!r}")
     _report_stats(result.stats if args.stats else None)
@@ -479,9 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--suite", required=True,
                      choices=("hopf", "oracle", "tables", "r-closure"))
     sub.add_argument("--n", type=int)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=int)
     sub.add_argument("--trials", type=int)
-    sub.add_argument("--r", type=r_value_from_json, default=2)
+    sub.add_argument("--r", type=r_value_from_json)
     sub.add_argument("--stats", action="store_true",
                      help="write the check count and seconds per identity to "
                           "stderr as one JSON line")

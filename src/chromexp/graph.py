@@ -674,7 +674,7 @@ def parse_dsl(text: str) -> EdgeColouredDigraph:
 
     Atoms: C(n) P(n) Q(n) K(n), grid(parts...), cgrid(parts...),
     rcgrid(parts...) for the row-strict grid. Operators: U (disjoint),
-    D (dashed), S (solid), W (double), each folding two or more
+    D (dashed), S (solid), W (double), each folding one or more
     arguments left to right; Uchain/Dchain/Schain/Wchain are synonyms.
     """
     tokens = _tokenize(text)

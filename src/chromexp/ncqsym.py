@@ -50,7 +50,6 @@ class NCQSymExpr(TermMap):
     __slots__ = ()
     _key = staticmethod(_check_key)
     _sort_key = staticmethod(set_composition_sort_key)
-    _shuffle = staticmethod(_shifted_quasi_shuffle)
     _splits = staticmethod(_standardized_splits)
 
     @staticmethod

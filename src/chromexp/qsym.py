@@ -52,8 +52,8 @@ class TermMap:
     module. A leg class (QSymExpr, NCQSymExpr) is the one place that
     knows its key format. It supplies `_key` (check and canonicalize one
     key), `_sort_key` (display order), `_name` (a term's printed name),
-    `_shuffle(a, b)` (every path of the product, repeats included; the
-    product reads them grouped by `_shuffle_groups`),
+    `_shuffle_groups(a, b)` (the distinct paths of the product as
+    (multiplicity, paths) groups, so that each is merged once),
     `_splits(key, memo)` (the coproduct's pairs; `memo` is shared by the
     keys of one call) and `_size(key)` (its degree).
 
@@ -135,12 +135,6 @@ class TermMap:
                     for gamma in paths:
                         _merge(out, gamma, c)
         return self._of(out)
-
-    @classmethod
-    def _shuffle_groups(cls, a, b):
-        """The distinct paths of `_shuffle(a, b)` as (multiplicity,
-        paths) groups, so that each is merged once."""
-        return _by_multiplicity(cls._shuffle(a, b))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -252,12 +246,17 @@ class QSymExpr(TermMap):
     __slots__ = ()
     _key = staticmethod(composition)
     _sort_key = staticmethod(composition_sort_key)
-    _shuffle = staticmethod(_quasi_shuffles)
     _size = staticmethod(sum)
 
     @staticmethod
     def _name(alpha) -> str:
         return "M" + combinat.format_composition(alpha)
+
+    @staticmethod
+    def _shuffle_groups(alpha, beta):
+        """The overlapping shuffle's paths, grouped by how often each
+        occurs."""
+        return _by_multiplicity(_quasi_shuffles(alpha, beta))
 
     @staticmethod
     def _splits(alpha, memo=None):

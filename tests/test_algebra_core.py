@@ -3,7 +3,7 @@
 Both leg classes now share one product (`TermMap.__mul__`), one tensor
 product (`TensorMap.__mul__`), one coproduct loop, and one `one`,
 `degrees` and `homogeneous_component`; each leg class supplies only its
-key format: `_shuffle`, `_splits` and `_size`. Both shuffles run on one
+key format: `_shuffle_groups`, `_splits` and `_size`. Both shuffles run on one
 iterative core, `combinat._quasi_shuffles`. The earlier, separate
 implementations are kept here, and only here, as references: the paths
 must come in the same order, and every result must be equal.
@@ -231,8 +231,10 @@ def test_shifted_quasi_shuffle_paths_come_in_the_recursions_order(phi, psi):
 
 
 def test_each_leg_class_names_its_shuffle_splits_and_size():
-    assert QSymExpr._shuffle((2,), (1,)) == [(2, 1), (1, 2), (3,)]
-    assert NCQSymExpr._shuffle(((1,),), ((1,),)) == [((1,), (2,)), ((2,), (1,)), ((1, 2),)]
+    assert list(QSymExpr._shuffle_groups((2,), (1,))) == [(1, [(2, 1), (1, 2), (3,)])]
+    assert list(QSymExpr._shuffle_groups((1,), (1,))) == [(2, [(1, 1)]), (1, [(2,)])]
+    assert list(NCQSymExpr._shuffle_groups(((1,),), ((1,),))) == [
+        (1, [((1,), (2,)), ((2,), (1,)), ((1, 2),)])]
     assert QSymExpr._splits((2, 1)) == [((), (2, 1)), ((2,), (1,)), ((2, 1), ())]
     assert list(NCQSymExpr._splits(((2,), (1, 3)))) == [
         ((), ((2,), (1, 3))), (((1,),), ((1, 2),)), (((2,), (1, 3)), ())]

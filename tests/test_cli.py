@@ -169,6 +169,42 @@ def test_verify_failure_exits_one(monkeypatch, capsys):
     assert data["counterexample"]["detail"] == "synthetic failure"
 
 
+SUITE_FUNCTIONS = {"oracle": "verify_oracle", "hopf": "verify_hopf",
+                   "tables": "verify_tables", "r-closure": "verify_r_closure"}
+
+
+def recorded_suite_calls(monkeypatch, capsys, suite, *flags):
+    """The keyword arguments each call of the suite's function received."""
+    calls = []
+
+    def record(**kwargs):
+        calls.append(kwargs)
+        return VerifyResult(suite)
+
+    monkeypatch.setattr(verify_mod, SUITE_FUNCTIONS[suite], record)
+    code, _ = run(capsys, "verify", "--suite", suite, *flags)
+    assert code == 0
+    return calls
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_FUNCTIONS))
+def test_verify_without_flags_leaves_every_default_to_the_suite(suite, monkeypatch, capsys):
+    assert recorded_suite_calls(monkeypatch, capsys, suite) == [{}]
+
+
+@pytest.mark.parametrize("suite, flags, kwargs", [
+    ("oracle", ("--n", "3", "--trials", "2", "--seed", "7"),
+     {"max_n": 3, "trials": 2, "seed": 7}),
+    ("hopf", ("--n", "3", "--trials", "2", "--seed", "7"),
+     {"max_n": 3, "trials": 2, "seed": 7}),
+    ("tables", ("--n", "3"), {"n": 3}),
+    ("r-closure", ("--n", "3", "--trials", "2", "--seed", "7", "--r", "3"),
+     {"n_qsym": 3, "n_nc": 2, "r": 3, "seed": 7, "trials": 2}),
+])
+def test_verify_flags_reach_the_suite_by_name(suite, flags, kwargs, monkeypatch, capsys):
+    assert recorded_suite_calls(monkeypatch, capsys, suite, *flags) == [kwargs]
+
+
 def test_bases_listing(capsys):
     code, out = run(capsys, "bases", "--space", "qsym", "--n", "3", "--kind", "M")
     data = json.loads(out)

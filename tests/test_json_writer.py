@@ -1,12 +1,12 @@
 """Differential checks of the CLI's JSON writers.
 
-`cli._dumps` must give the text of `json.dumps(data, indent=2)` byte for
-byte, and the row writer `cli._dumps_terms` that text and a newline;
+`cli._dumps` and the row writer `cli._dumps_terms` must each give the
+text of `json.dumps(data, indent=2)` and a newline, byte for byte;
 `json.dumps` is the reference. The hypothesis documents for `_dumps` mix what the writer
 renders itself (dicts with str keys, lists and tuples, lists of ints
 that repeat) with what it hands back to json (other scalars, empty
 containers, dicts with non-str keys), at every depth. The row writer is
-checked on what the nc builders return.
+checked on what the three term-list builders return.
 """
 
 import json
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chromexp import cli
+from chromexp.chromatic import expand
 from chromexp.cli import main
 from chromexp.graph import labelled, make
 from chromexp.ncqsym import (
@@ -26,8 +27,9 @@ from chromexp.ncqsym import (
     ncqsym_tensor_to_json,
     ncqsym_to_json,
 )
+from chromexp.qsym import coproduct, qsym_tensor_to_json
 from chromexp.tpoly import tpoly_to_json
-from chromexp.verify import random_labelled_digraph
+from chromexp.verify import random_digraph, random_labelled_digraph
 
 TEXT = st.one_of(
     st.text(max_size=6),
@@ -67,14 +69,14 @@ DOCUMENTS = st.recursive(st.one_of(LEAVES, INT_LISTS), _containers, max_leaves=3
 @settings(max_examples=400, deadline=None)
 @given(DOCUMENTS)
 def test_writer_matches_json_dumps(data):
-    assert cli._dumps(data) == json.dumps(data, indent=2)
+    assert cli._dumps(data) == json.dumps(data, indent=2) + "\n"
 
 
 def test_writer_matches_json_dumps_on_repeated_int_lists_at_several_depths():
     block = [1, 2]
     data = {"a": [block, [block], {"b": block}], "c": [[1, 2], (1, 2), [True, 2]],
             "d": [[], {}, [[]], [1.0, 2]], "é\n": [-10**30, 0]}
-    assert cli._dumps(data) == json.dumps(data, indent=2)
+    assert cli._dumps(data) == json.dumps(data, indent=2) + "\n"
 
 
 def unshared_to_json(f):
@@ -109,6 +111,14 @@ def test_row_writer_matches_json_dumps_on_nc_expansions(seed, keep_t, factor):
     lg = random_labelled_digraph(random.Random(seed), 6, min_n=0)
     f = expand_nc(lg)
     assert_rows_match((f if keep_t else f.at_t(1)).scale(factor))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32), keep_t=st.booleans())
+def test_row_writer_matches_json_dumps_on_commutative_coproducts(seed, keep_t):
+    f = expand(random_digraph(random.Random(seed), 6, min_n=0))
+    doc = qsym_tensor_to_json(coproduct(f if keep_t else f.at_t(1)))
+    assert cli._dumps_terms(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_row_writer_on_empty_expansions_and_empty_legs():
@@ -154,8 +164,8 @@ CALL_SITES = {
     "balanced": ["balanced", "--graph", "GRAPH", "--k", "1"],
 }
 
-# the nc expansion and tensor documents go through the row writer
-ROW_SITES = {"expand-nc", "coproduct-nc", "product-nc"}
+# the bare term lists (nc expansions and every tensor) go through the row writer
+ROW_SITES = {"expand-nc", "coproduct", "coproduct-nc", "product-nc"}
 
 
 @pytest.mark.parametrize("site", sorted(CALL_SITES))
@@ -167,9 +177,9 @@ def test_every_emit_site_prints_json_dumps_text(site, balanced_graph, monkeypatc
     def recording(name):
         write = getattr(cli, name)
 
-        def record(data, *end):
+        def record(data):
             emitted.append((name, data))
-            return write(data, *end)
+            return write(data)
         return record
 
     for name in ("_dumps", "_dumps_terms"):
