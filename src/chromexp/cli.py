@@ -47,12 +47,12 @@ def _dumps(data) -> str:
     """The text of json.dumps(data, indent=2) and a newline, byte for byte.
 
     With an indent, json encodes in pure Python, one generator per
-    container. This writer renders each list of ints once per call and
-    reuses the text: blocks and coefficient lists repeat across
-    thousands of terms. Dicts with str keys and nonempty lists recurse.
-    Other containers go to json.dumps with the indent, re-indented to
-    their depth (JSON text has no raw newline inside a string), and
-    scalars to json.dumps without it, which gives the same text.
+    container. This writer renders a flat list of ints and strs in one
+    step, and each list of ints once per call: blocks and coefficients
+    repeat across thousands of terms. Dicts with str keys and other
+    nonempty lists recurse. Other containers go to json.dumps with the
+    indent, re-indented to their depth (JSON text has no raw newline in
+    a string), and scalars to json.dumps without it: the same text.
     """
     chunks = []
     append = chunks.append
@@ -74,13 +74,18 @@ def _dumps(data) -> str:
             append(pad + "}")
         elif (kind is list or kind is tuple) and value:
             inner = pad + "  "
-            if set(map(type, value)) == {int}:
+            types = set(map(type, value))
+            if types == {int}:
                 memo = (pad, tuple(value))
                 text = int_lists.get(memo)
                 if text is None:
                     text = int_lists[memo] = (
                         "[" + inner + ("," + inner).join(map(str, value)) + pad + "]")
                 append(text)
+                return
+            if types <= {int, str}:
+                items = [str(x) if type(x) is int else json.dumps(x) for x in value]
+                append("[" + inner + ("," + inner).join(items) + pad + "]")
                 return
             sep = "[" + inner
             for item in value:

@@ -53,6 +53,19 @@ class NCQSymExpr(TermMap):
     _splits = staticmethod(_standardized_splits)
 
     @staticmethod
+    def _sorted(keys) -> list:
+        """The keys grouped by their block sizes: the groups in order of
+        degree, then of sizes, and each group in tuple order."""
+        if len(keys) < 2:
+            return list(keys)
+        groups: dict = {}
+        for phi in keys:
+            groups.setdefault(tuple(map(len, phi)), []).append(phi)
+        order = sorted(groups)
+        order.sort(key=sum)
+        return [phi for sizes in order for phi in sorted(groups[sizes])]
+
+    @staticmethod
     def _name(phi) -> str:
         return "M" + combinat.format_set_composition(phi)
 

@@ -73,9 +73,6 @@ class TruncPoly(_KeyedPoly):
                 _merge(out, tuple(x + y for x, y in zip(a, b)), ca * cb)
         return TruncPoly(self.k, out)
 
-    def items_sorted(self):
-        return sorted(self.terms.items())
-
     def __repr__(self):
         return f"TruncPoly(k={self.k}, {len(self.terms)} monomials)"
 
@@ -101,9 +98,6 @@ class WordPoly(_KeyedPoly):
             for b, cb in other.terms.items():
                 _merge(out, a + b, ca * cb)
         return WordPoly(self.k, out)
-
-    def items_sorted(self):
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     def __repr__(self):
         return f"WordPoly(k={self.k}, {len(self.terms)} words)"

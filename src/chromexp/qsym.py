@@ -51,11 +51,12 @@ class TermMap:
     (an int that is not a bool, or a Fraction) or a TPoly; see the tpoly
     module. A leg class (QSymExpr, NCQSymExpr) is the one place that
     knows its key format. It supplies `_key` (check and canonicalize one
-    key), `_sort_key` (display order), `_name` (a term's printed name),
-    `_shuffle_groups(a, b)` (the distinct paths of the product as
-    (multiplicity, paths) groups, so that each is merged once),
-    `_splits(key, memo)` (the coproduct's pairs; `memo` is shared by the
-    keys of one call) and `_size(key)` (its degree).
+    key), `_sort_key` (display order), `_sorted(keys)` (a list of the
+    keys in that order, with no Python call per key), `_name` (a term's
+    printed name), `_shuffle_groups(a, b)` (the distinct paths of the
+    product as (multiplicity, paths) groups, so that each is merged
+    once), `_splits(key, memo)` (the coproduct's pairs; `memo` is shared
+    by the keys of one call) and `_size(key)` (its degree).
 
     The public constructor validates and canonicalizes every key, checks
     every coefficient (TypeError outside the exact domain) and merges
@@ -162,7 +163,8 @@ class TermMap:
         return set(self.terms)
 
     def items_sorted(self):
-        return sorted(self.terms.items(), key=lambda kv: self._sort_key(kv[0]))
+        terms = self.terms
+        return [(key, terms[key]) for key in self._sorted(terms)]
 
     def peel(self, element, finer: bool) -> dict:
         """Coordinates over a unitriangular basis, by triangular peeling.
@@ -177,7 +179,7 @@ class TermMap:
         out: dict = {}
         while remaining:
             size = (min if finer else max)(map(len, remaining))
-            for key in sorted((k for k in remaining if len(k) == size), key=self._sort_key):
+            for key in self._sorted([k for k in remaining if len(k) == size]):
                 out[key] = coeff = remaining[key]
                 neg = -coeff
                 for member in element(key).terms:
@@ -197,7 +199,7 @@ class TermMap:
         """
         remaining = dict(self.terms)
         out: dict = {}
-        for key in sorted(remaining, key=self._sort_key):
+        for key in self._sorted(remaining):
             coeff = remaining.get(key)
             if coeff is None:
                 continue
@@ -249,6 +251,13 @@ class QSymExpr(TermMap):
     _size = staticmethod(sum)
 
     @staticmethod
+    def _sorted(keys) -> list:
+        """Tuple order, then a stable sort by degree."""
+        out = sorted(keys)
+        out.sort(key=sum)
+        return out
+
+    @staticmethod
     def _name(alpha) -> str:
         return "M" + combinat.format_composition(alpha)
 
@@ -275,18 +284,26 @@ class TensorMap(TermMap):
     coproducts. A subclass names its leg class, as in
     `class QSymTensor(TensorMap, leg=QSymExpr)`, which keeps it as `_leg`
     and gives the subclass the pair forms of the leg's `_key`,
-    `_sort_key`, `_name` and `_shuffle_groups`."""
+    `_sort_key`, `_sorted`, `_name` and `_shuffle_groups`."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, leg, **kwargs):
         super().__init_subclass__(**kwargs)
-        key, sort_key, name = leg._key, leg._sort_key, leg._name
+        key, sort_key, leg_sorted, name = leg._key, leg._sort_key, leg._sorted, leg._name
         groups = leg._shuffle_groups
 
         def pair_key(pair):
             left, right = pair
             return key(left), key(right)
+
+        def pair_sorted(pairs) -> list:
+            """Each distinct leg ranked once; a pair sorts on the unique
+            code rank(left) * width + rank(right)."""
+            rank = {x: i for i, x in enumerate(leg_sorted({x for pair in pairs for x in pair}))}
+            width = len(rank)
+            codes = [rank[a] * width + rank[b] for a, b in pairs]
+            return [pair for _, pair in sorted(zip(codes, pairs))]
 
         def pair_groups(a, b):
             """Each pair of a left and a right group of the legs' shuffles,
@@ -299,6 +316,7 @@ class TensorMap(TermMap):
         cls._leg = leg
         cls._key = staticmethod(pair_key)
         cls._sort_key = staticmethod(lambda pair: (sort_key(pair[0]), sort_key(pair[1])))
+        cls._sorted = staticmethod(pair_sorted)
         cls._name = staticmethod(lambda pair: f"{name(pair[0])} (x) {name(pair[1])}")
         cls._shuffle_groups = staticmethod(pair_groups)
 

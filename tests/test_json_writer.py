@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chromexp import cli
+from chromexp import cli, graph as gr
 from chromexp.chromatic import expand
 from chromexp.cli import main
 from chromexp.graph import labelled, make
@@ -27,8 +27,8 @@ from chromexp.ncqsym import (
     ncqsym_tensor_to_json,
     ncqsym_to_json,
 )
-from chromexp.qsym import coproduct, qsym_tensor_to_json
-from chromexp.tpoly import tpoly_to_json
+from chromexp.qsym import coproduct, qsym_tensor_to_json, qsym_to_json
+from chromexp.tpoly import TPoly, tpoly_to_json
 from chromexp.verify import random_digraph, random_labelled_digraph
 
 TEXT = st.one_of(
@@ -77,6 +77,33 @@ def test_writer_matches_json_dumps_on_repeated_int_lists_at_several_depths():
     data = {"a": [block, [block], {"b": block}], "c": [[1, 2], (1, 2), [True, 2]],
             "d": [[], {}, [[]], [1.0, 2]], "é\n": [-10**30, 0]}
     assert cli._dumps(data) == json.dumps(data, indent=2) + "\n"
+
+
+# flat lists of ints and strs, which the writer renders in one step
+INT_STR_LISTS = st.lists(st.one_of(st.integers(), TEXT), min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(INT_STR_LISTS, max_size=4), st.dictionaries(TEXT, INT_STR_LISTS, max_size=3))
+def test_writer_matches_json_dumps_on_int_and_str_lists(rows, fields):
+    for data in (rows, fields, {"edges": rows, "n": 3}, [rows, fields]):
+        assert cli._dumps(data) == json.dumps(data, indent=2) + "\n"
+
+
+def test_writer_matches_json_dumps_on_edges_fractions_and_escaped_text():
+    g = random_digraph(random.Random(7), 8)
+    f = expand(g).scale(Fraction(-7, 3))
+    docs = [
+        gr.digraph_to_json(g),
+        gr.digraph_to_json(labelled(g, [3 * v + 1 for v in range(g.n)])),
+        qsym_to_json(f + f.scale(TPoly.t_power(2))),
+        {"coeff_t": ["1/3", 0, "-7/2", 5], "composition": [1, 2]},
+        {"é": [1, "é", '"', "\\", "\n", "\t", "\x00", "😀", -10**30, "a\"b\\c"]},
+        # bools, None and floats are not ints or strs and keep the fallback
+        {"terms": [[1, True, "a"], [None, "a", 2], [1.5, "x"], ["only", "strs"]]},
+    ]
+    for data in docs:
+        assert cli._dumps(data) == json.dumps(data, indent=2) + "\n"
 
 
 def unshared_to_json(f):
