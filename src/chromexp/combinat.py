@@ -303,91 +303,76 @@ def standardize_set_composition(phi):
     return tuple(tuple(rank[x] for x in b) for b in phi)
 
 
-def _splits_memo():
-    """A fresh memo for _standardized_splits, to be shared by the keys of
-    one coproduct: block -> its bit mask, the ground masks seen once,
-    and ground mask -> its table, which maps the mask of a block within
-    that ground to the block standardized in it. Bit x of a mask stands
-    for element x."""
-    return {}, set(), {}
+# _SPLIT_TABLES[i] splits a packed word, whose letter at x - 1 is the
+# index of x's block, after its first i blocks: deleting the letters at
+# or above i leaves the left side's word, and deleting the letters below
+# i, then mapping v to v - i, leaves the right side's. Constants, made
+# on demand, as most keys have a few blocks.
+_SPLIT_TABLES: list = []
 
 
-def _standardized_splits(phi, memo=None):
-    """(std(phi[:i]), std(phi[i:])) for i = 0..len(phi), for a canonical
+def _standardized_splits(phi, memo=None) -> list:
+    """[(std(phi[:i]), std(phi[i:])) for i = 0..len(phi)] for a canonical
     phi covering [n] (not validated).
 
-    Once the first i blocks form the prefix, an element x has rank
-    below[x] in the prefix (if it lies there) and x - below[x] in the
-    suffix (otherwise), where below[x] counts the prefix elements up to
-    x; one counting pass per split gives both, with no sort.
-
-    The first and last splits need no ranks, as phi covers [n]. Within
-    a memo, each block is standardized once per ground: a side whose
-    ground has a table reads its blocks from it. A ground gets its table
-    the second time it occurs, so a single long key, whose grounds never
-    repeat, leaves no table. The counting pass is made at most once per
-    split, and only when a side needs it.
+    phi is written once as its packed word, and each side of a split is
+    the word with the other side's letters deleted, which keeps the
+    order of the elements and so is already standardized. `memo`, shared
+    by the keys of one coproduct, maps each word seen to the set
+    composition it spells, and each block to itself, so that equal
+    blocks are one tuple. The first and last splits need no word, as phi
+    covers [n]. A key of more than 256 blocks does not fit a byte per
+    letter; it takes a counting pass instead, where below[x] counts the
+    prefix elements up to x, which is x's rank in the prefix and makes
+    x - below[x] its rank in the suffix. Its blocks are interned too.
     """
-    masks, seen, tables = _splits_memo() if memo is None else memo
-    bits = []
-    for b in phi:
-        mask = masks.get(b)
-        if mask is None:
-            mask = masks[b] = sum([1 << x for x in b])
-        bits.append(mask)
-    n = sum(map(len, phi))
-    full = (2 << n) - 2
-    in_prefix = [0] * (n + 1)
-    yield (), phi
-    ground = 0
-    for i in range(1, len(phi)):
-        ground |= bits[i - 1]
-        for x in phi[i - 1]:
-            in_prefix[x] = 1
-        left = right = below = None
-        table = tables.get(ground)
-        if table is not None:
-            try:
-                left = tuple([table[m] for m in bits[:i]])
-            except KeyError:
-                pass
-        if left is None:
+    if memo is None:
+        memo = {}
+    k = len(phi)
+    if k > 256:
+        intern = memo.setdefault
+        n = sum(map(len, phi))
+        in_prefix = [0] * (n + 1)
+        out = []
+        for i in range(k + 1):
             below = list(itertools.accumulate(in_prefix))
-            left = _standardize_side(tables, seen, ground, phi[:i], bits[:i], below)
-        rest = full ^ ground
-        table = tables.get(rest)
-        if table is not None:
-            try:
-                right = tuple([table[m] for m in bits[i:]])
-            except KeyError:
-                pass
-        if right is None:
-            if below is None:
-                below = list(itertools.accumulate(in_prefix))
-            right = _standardize_side(tables, seen, rest, phi[i:], bits[i:],
-                                      [x - c for x, c in enumerate(below)])
-        yield left, right
+            left = [tuple([below[x] for x in b]) for b in phi[:i]]
+            right = [tuple([x - below[x] for x in b]) for b in phi[i:]]
+            out.append((tuple(map(intern, left, left)), tuple(map(intern, right, right))))
+            if i < k:
+                for x in phi[i]:
+                    in_prefix[x] = 1
+        return out
+    letters = [0] * sum(map(len, phi))
+    for v, b in enumerate(phi):
+        for x in b:
+            letters[x - 1] = v
+    word = bytes(letters)
+    tables = _SPLIT_TABLES
+    for i in range(len(tables), k):
+        tables.append((bytes(range(i, 256)), bytes(range(i)), bytes(i) + bytes(range(256 - i))))
+    get = memo.get
+    out = [((), phi)]
+    for i in range(1, k):
+        upper, lower, down = tables[i]
+        left = word.translate(None, upper)
+        right = word.translate(down, lower)
+        out.append((get(left) or _spell(left, i, memo),
+                    get(right) or _spell(right, k - i, memo)))
     if phi:
-        yield phi, ()
+        out.append((phi, ()))
+    return out
 
 
-def _standardize_side(tables, seen, ground, blocks, bits, rank):
-    """The blocks of one side standardized in its ground, rank[x] being
-    the rank of x there. A ground's first time leaves no trace but in
-    `seen`; from its second time on, its table keeps each block."""
-    table = tables.get(ground)
-    if table is None:
-        if ground not in seen:
-            seen.add(ground)
-            return tuple([tuple([rank[x] for x in b]) for b in blocks])
-        table = tables[ground] = {}
-    out = []
-    for mask, b in zip(bits, blocks):
-        block = table.get(mask)
-        if block is None:
-            block = table[mask] = tuple([rank[x] for x in b])
-        out.append(block)
-    return tuple(out)
+def _spell(word, k, memo):
+    """The set composition of k blocks that a packed word spells, kept
+    in memo under the word, its blocks interned there."""
+    blocks = [[] for _ in range(k)]
+    for x, v in enumerate(word, 1):
+        blocks[v].append(x)
+    blocks = list(map(tuple, blocks))
+    phi = memo[word] = tuple(map(memo.setdefault, blocks, blocks))
+    return phi
 
 
 def standardize_set_partition(pi):

@@ -608,7 +608,8 @@ def digraph_to_json(g) -> dict:
         return out
     return {
         "n": g.n,
-        "edges": [[u, v, c.value] for u, v, c in g.edge_list()],
+        # each member's own _value_, not the per-call `value` property
+        "edges": [[u, v, c._value_] for u, v, c in g.edge_list()],
     }
 
 

@@ -18,7 +18,6 @@ from .combinat import (
     _check_r,
     _interleavings,
     _quasi_shuffles,
-    _splits_memo,
     coarsenings,
     composition,
     composition_sort_key,
@@ -55,8 +54,11 @@ class TermMap:
     keys in that order, with no Python call per key), `_name` (a term's
     printed name), `_shuffle_groups(a, b)` (the distinct paths of the
     product as (multiplicity, paths) groups, so that each is merged
-    once), `_splits(key, memo)` (the coproduct's pairs; `memo` is shared
-    by the keys of one call) and `_size(key)` (its degree).
+    once, and readable more than once), `_splits(key, memo)` (the
+    coproduct's pairs, as a list; `memo` is a dict shared by the keys of
+    one call, where NCQSymExpr keeps each packed word split off, mapped
+    to its set composition, and each block, mapped to itself) and
+    `_size(key)` (its degree).
 
     The public constructor validates and canonicalizes every key, checks
     every coefficient (TypeError outside the exact domain) and merges
@@ -284,14 +286,14 @@ class TensorMap(TermMap):
     coproducts. A subclass names its leg class, as in
     `class QSymTensor(TensorMap, leg=QSymExpr)`, which keeps it as `_leg`
     and gives the subclass the pair forms of the leg's `_key`,
-    `_sort_key`, `_sorted`, `_name` and `_shuffle_groups`."""
+    `_sort_key`, `_sorted` and `_name`. The product has its own loop
+    over the leg's `_shuffle_groups`."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, leg, **kwargs):
         super().__init_subclass__(**kwargs)
         key, sort_key, leg_sorted, name = leg._key, leg._sort_key, leg._sorted, leg._name
-        groups = leg._shuffle_groups
 
         def pair_key(pair):
             left, right = pair
@@ -305,27 +307,36 @@ class TensorMap(TermMap):
             codes = [rank[a] * width + rank[b] for a, b in pairs]
             return [pair for _, pair in sorted(zip(codes, pairs))]
 
-        def pair_groups(a, b):
-            """Each pair of a left and a right group of the legs' shuffles,
-            with the product of their multiplicities."""
-            right = groups(a[1], b[1])
-            return [(count1 * count2, [(g1, g2) for g1 in left_paths for g2 in right_paths])
-                    for count1, left_paths in groups(a[0], b[0])
-                    for count2, right_paths in right]
-
         cls._leg = leg
         cls._key = staticmethod(pair_key)
         cls._sort_key = staticmethod(lambda pair: (sort_key(pair[0]), sort_key(pair[1])))
         cls._sorted = staticmethod(pair_sorted)
         cls._name = staticmethod(lambda pair: f"{name(pair[0])} (x) {name(pair[1])}")
-        cls._shuffle_groups = staticmethod(pair_groups)
 
     def __mul__(self, other):
-        """Componentwise product (a x b)(c x d) = ac x bd. Only another
-        tensor of the same class multiplies; a scalar does not."""
+        """Componentwise product (a x b)(c x d) = ac x bd: each pair of a
+        left and a right group of the legs' shuffles carries the product
+        of their multiplicities, and each distinct pair of legs is
+        shuffled once per call. Only another tensor of the same class
+        multiplies; a scalar does not."""
         if not isinstance(other, type(self)):
             return NotImplemented
-        return TermMap.__mul__(self, other)
+        groups = self._leg._shuffle_groups
+        memo: dict = {}  # (leg, leg) -> the groups of their shuffle
+        out: dict = {}
+        for (a1, a2), ca in self.terms.items():
+            for (b1, b2), cb in other.terms.items():
+                coeff = ca * cb
+                left = memo.get((a1, b1)) or memo.setdefault((a1, b1), list(groups(a1, b1)))
+                right = memo.get((a2, b2)) or memo.setdefault((a2, b2), list(groups(a2, b2)))
+                for count1, left_paths in left:
+                    for count2, right_paths in right:
+                        count = count1 * count2
+                        c = coeff * count if count > 1 else coeff
+                        for g1 in left_paths:
+                            for g2 in right_paths:
+                                _merge(out, (g1, g2), c)
+        return self._of(out)
 
     @classmethod
     def of_legs(cls, f, g):
@@ -351,7 +362,7 @@ def _coproduct(f: TermMap, tensor_cls):
     a key carries that key's coefficient. The keys share one memo of
     the leg class's splits for the call."""
     splits = f._splits
-    memo = _splits_memo()
+    memo: dict = {}
     out: dict = {}
     for key, coeff in f.terms.items():
         for pair in splits(key, memo):

@@ -162,7 +162,7 @@ def _triple_splits(tensor, apply_left):
     dict keyed by triples, with the coproduct of the tensor's leg class
     and one memo of its splits for the call."""
     splits = tensor._leg._splits
-    memo = combinat._splits_memo()
+    memo: dict = {}
     out: dict = {}
     for (a, b), coeff in tensor.terms.items():
         target, fixed = (a, b) if apply_left else (b, a)

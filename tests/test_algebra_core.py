@@ -353,6 +353,71 @@ def test_chromatic_polynomial_matches_on_expansions(seed):
 
 
 # ---------------------------------------------------------------------------
+# the tensor product shuffles each pair of legs once
+
+
+def ref_pair_groups_mul(s, t):
+    """The tensor product as one product body over the pair form of the
+    leg's _shuffle_groups, which shuffled both legs for every pair of
+    terms."""
+    groups = s._leg._shuffle_groups
+
+    def pair_groups(a, b):
+        right = groups(a[1], b[1])
+        return [(count1 * count2, [(g1, g2) for g1 in left_paths for g2 in right_paths])
+                for count1, left_paths in groups(a[0], b[0])
+                for count2, right_paths in right]
+
+    out = {}
+    for a, ca in s.terms.items():
+        for b, cb in t.terms.items():
+            coeff = ca * cb
+            for count, paths in pair_groups(a, b):
+                c = coeff * count if count > 1 else coeff
+                for gamma in paths:
+                    _merge(out, gamma, c)
+    return type(s)._of(out)
+
+
+def assert_same_in_order(x, y):
+    assert type(x) is type(y)
+    assert list(x.terms.items()) == list(y.terms.items())
+
+
+@settings(max_examples=30, deadline=None)
+@given(SEEDS)
+def test_tensor_products_match_the_pair_groups_body_in_order(seed):
+    f1, f2, f, y1, y2, y = expansions(seed)
+    for a, b, delta, of_legs in [(f1, f2, coproduct, tensor), (f, f1, coproduct, tensor),
+                                 (y1, y2, coproduct_nc, tensor_nc),
+                                 (y, y1, coproduct_nc, tensor_nc)]:
+        for x, z in zip(coefficient_forms(a), coefficient_forms(b)):
+            dx, dz = delta(x), delta(z)
+            for s, t in [(dx, dz), (dz, dx), (dx - dz, dx + dz), (of_legs(x, z), dz)]:
+                assert_same_in_order(s * t, ref_pair_groups_mul(s, t))
+
+
+def test_tensor_products_with_repeated_paths_empty_legs_and_cancellation():
+    one, two = (1,), (1, 1)
+    t = TPoly.t_power(1)
+    for c in (1, Fraction(2, 3), t + 1):
+        s = QSymTensor._of({(one, one): 2 * c, ((), two): c, ((), ()): 3 * c,
+                            ((2,), ()): -c})
+        r = QSymTensor._of({(one, one): c, (one, ()): c, ((), one): -c, ((), ()): c})
+        for x, z in [(s, s), (s, r), (r, s), (r, r), (s - r, s + r)]:
+            assert_same_in_order(x * z, ref_pair_groups_mul(x, z))
+    # (1) x (1) squared: each leg's shuffle has a path of multiplicity 2
+    square = QSymTensor._of({(one, one): 1}) * QSymTensor._of({(one, one): 1})
+    assert square.terms[two, two] == 4 and square.terms[(2,), two] == 2
+    block = ((1,),)
+    for c in (1, Fraction(-1, 2), t):
+        s = NCQSymTensor._of({(block, block): c, ((), ((1, 2),)): -c, ((), ()): 2 * c})
+        r = NCQSymTensor._of({(block, ()): c, ((), block): c})
+        for x, z in [(s, s), (s, r), (r, s), (r - s, r + s)]:
+            assert_same_in_order(x * z, ref_pair_groups_mul(x, z))
+
+
+# ---------------------------------------------------------------------------
 # repeated shuffle paths
 
 

@@ -1,11 +1,12 @@
-"""Differential tests of the memoized coproduct splits.
+"""Differential tests of the coproduct splits by packed-word filtering.
 
-`combinat._standardized_splits` shares one memo across the keys of a
-coproduct: each block is standardized once per ground, a ground gets its
-table the second time it occurs, and block masks and tables live in
-separate dicts. The counting pass it replaced is kept here as the
-reference: every split, and every coproduct built from them, must be
-equal and come in the same order, whatever the memo has seen before.
+`combinat._standardized_splits` writes a key as its packed word and
+filters it once per side, and shares one memo across the keys of a
+coproduct: each word it splits off maps to the set composition it
+spells, and each block to itself. Keys of more than 256 blocks take a
+counting pass instead. The counting pass without a memo is kept here as
+the reference: every split, and every coproduct built from them, must
+be equal and come in the same order, whatever the memo has seen before.
 """
 
 import itertools
@@ -45,24 +46,22 @@ def ref_coproduct_nc(f):
     return NCQSymTensor._of(out)
 
 
-def mask_of(elements):
-    return sum(1 << x for x in elements)
+def spelled(word):
+    """The set composition a packed word spells, x in block word[x - 1]."""
+    return tuple(tuple(x for x, v in enumerate(word, 1) if v == j)
+                 for j in range(max(word) + 1))
 
 
-def assert_memo_holds_only_its_entries(memo):
-    """Blocks map to their masks; each table belongs to a ground seen
-    before and maps masks of subsets of that ground to their ranks in it."""
-    masks, seen, tables = memo
-    for block, mask in masks.items():
-        assert isinstance(block, tuple) and mask == mask_of(block)
-    assert set(tables) <= seen
-    for ground, table in tables.items():
-        assert isinstance(ground, int)
-        elements = [x for x in range(ground.bit_length()) if ground >> x & 1]
-        rank = {x: r for r, x in enumerate(elements, start=1)}
-        for mask, block in table.items():
-            assert mask & ground == mask
-            assert block == tuple(rank[x] for x in range(mask.bit_length()) if mask >> x & 1)
+def assert_memo_spells_its_words(memo):
+    """Every word maps to the set composition it spells, with no empty
+    block, and every block to itself; the blocks of each spelled set
+    composition are the memo's own, so equal blocks are one object."""
+    for key, value in memo.items():
+        if isinstance(key, bytes):
+            assert value == spelled(key) and all(value)
+            assert all(memo[b] is b for b in value)
+        else:
+            assert isinstance(key, tuple) and value is key
 
 
 @st.composite
@@ -74,9 +73,9 @@ def set_compositions(draw, max_n=7):
     return tuple(tuple(sorted(order[a:b])) for a, b in zip(bounds, bounds[1:]))
 
 
-# Keys whose blocks, read as (mask, ground), name entries of a table:
-# ground {1, 2} (mask 6) is tabled by the first two keys, with mask 2
-# for (1,) and mask 4 for (2,); the blocks (2, 6) and (4, 6) come next.
+# Keys whose sides repeat across keys, within a key, and with other block
+# counts: ((1,),) is the left side of the first and the right side of the
+# second, and the block (1,) turns up in many sides.
 PAIR_LIKE = [((1,), (2,), (3,)), ((2,), (1,), (3,)),
              ((2, 6), (1, 3, 4, 5, 7)), ((1, 3, 5, 7), (4, 6), (2,)),
              ((1,), (2,), (3, 4, 5, 6, 7)), ((2, 6), (1,), (3, 4, 5, 7))]
@@ -85,49 +84,72 @@ PAIR_LIKE = [((1,), (2,), (3,)), ((2,), (1,), (3,)),
 @settings(max_examples=200, deadline=None)
 @given(st.lists(set_compositions(), max_size=12))
 def test_one_memo_across_keys_gives_the_counting_pass(keys):
-    memo = combinat._splits_memo()
+    memo = {}
     for phi in keys + PAIR_LIKE + keys:
         assert list(combinat._standardized_splits(phi, memo)) \
             == list(ref_standardized_splits(phi))
-    assert_memo_holds_only_its_entries(memo)
+    assert_memo_spells_its_words(memo)
 
 
 @settings(max_examples=100, deadline=None)
 @given(set_compositions())
 def test_one_argument_and_a_fresh_memo_still_work(phi):
     want = list(ref_standardized_splits(phi))
-    assert list(combinat._standardized_splits(phi)) == want
-    assert list(NCQSymExpr._splits(phi)) == want
-    assert list(NCQSymExpr._splits(phi, combinat._splits_memo())) == want
+    assert combinat._standardized_splits(phi) == want
+    assert NCQSymExpr._splits(phi) == want
+    assert NCQSymExpr._splits(phi, {}) == want
 
 
 def test_pair_like_blocks_stay_blocks():
-    memo = combinat._splits_memo()
-    for phi in PAIR_LIKE:
-        assert list(combinat._standardized_splits(phi, memo)) \
-            == list(ref_standardized_splits(phi))
-    masks, seen, tables = memo
-    assert masks[(2, 6)] == mask_of((2, 6)) and tables[6] == {2: (1,), 4: (2,)}
-    assert_memo_holds_only_its_entries(memo)
+    memo = {}
+    splits = [combinat._standardized_splits(phi, memo) for phi in PAIR_LIKE]
+    for phi, got in zip(PAIR_LIKE, splits):
+        assert got == list(ref_standardized_splits(phi))
+    assert memo[bytes([0])] == ((1,),) and memo[bytes([0, 1])] == ((1,), (2,))
+    assert memo[bytes([1, 0, 0])] == ((2, 3), (1,))  # (4, 6), (2,) of the fourth key
+    assert splits[0][1][0] is splits[1][2][1] is memo[bytes([0])]
+    assert_memo_spells_its_words(memo)
 
 
 def test_a_single_long_key_leaves_no_table():
     phi = tuple((x,) for x in range(1, 1001))
-    memo = combinat._splits_memo()
+    memo = {}
     splits = list(combinat._standardized_splits(phi, memo))
     assert len(splits) == 1001
     for i in (0, 1, 500, 999, 1000):
         assert splits[i] == (phi[:i], tuple((x,) for x in range(1, 1001 - i)))
-    masks, seen, tables = memo
-    assert tables == {}
-    assert len(seen) == 2 * 999
+    # the counting pass keeps no word, only the blocks, each one object
+    assert memo == {(x,): (x,) for x in range(1, 1001)}
+    assert splits[500][1][0] is splits[999][0][0] is memo[(1,)]
+
+
+def scrambled_key(blocks, rng):
+    """A set composition of `blocks` blocks, sizes 1 to 3, in a shuffled
+    ground order."""
+    sizes = [rng.randint(1, 3) for _ in range(blocks)]
+    order = list(range(1, sum(sizes) + 1))
+    rng.shuffle(order)
+    starts = list(itertools.accumulate(sizes, initial=0))
+    return tuple(tuple(sorted(order[a:b])) for a, b in zip(starts, starts[1:]))
+
+
+def test_keys_at_the_word_limit_split_like_the_counting_pass():
+    rng = random.Random(256)
+    for blocks in (255, 256, 257):
+        phi = scrambled_key(blocks, rng)
+        memo = {}
+        assert combinat._standardized_splits(phi, memo) == list(ref_standardized_splits(phi))
+        assert_memo_spells_its_words(memo)
+        # up to 256 blocks every side is a word; past it, none is
+        words = sum(isinstance(key, bytes) for key in memo)
+        assert (words > 0) == (blocks <= 256)
 
 
 def test_the_commutative_splits_ignore_a_memo():
-    memo = combinat._splits_memo()
+    memo = {}
     assert QSymExpr._splits((2, 1), memo) == QSymExpr._splits((2, 1)) \
         == [((), (2, 1)), ((2,), (1,)), ((2, 1), ())]
-    assert memo == ({}, set(), {})
+    assert memo == {}
 
 
 def coefficient_forms(f):
