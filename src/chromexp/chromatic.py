@@ -203,8 +203,7 @@ def split_dashed(g: EdgeColouredDigraph, edge):
     constraint absorbs it (a strict edge implies all three kinds).
     """
     u, v, c = edge
-    if isinstance(c, str):
-        c = gr.EdgeConstraint(c)
+    c = gr.edge_constraint(c)
     if (u, v, c) not in g.edges:
         raise ValueError(f"{edge} is not an edge of the digraph")
     if c is not NEQ:

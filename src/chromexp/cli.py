@@ -2,8 +2,8 @@
 
 Subcommands: expand, poly, combine, coproduct, product, verify, bases,
 mr, balanced. Input digraphs come from builder expressions (--dsl) or
-JSON files (--json, "-" for stdin); output is JSON by default and
-readable text under --pretty.
+JSON files (--json, "-" for stdin), read in command-line order; output
+is JSON by default and readable text under --pretty.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 input
 validation error.
@@ -173,12 +173,21 @@ def _read_json(path: str):
         raise ValueError(f"JSON input nested too deeply: {path}") from None
 
 
+# The readers look gr's functions up when called, so one rebound there
+# (by a profiler, say) is the one that runs.
+def _graph_from_dsl(text: str):
+    return gr.parse_dsl(text)
+
+
+def _graph_from_json(path: str):
+    return gr.digraph_from_json(_read_json(path))
+
+
 def _read_graph(args):
-    inputs = []
-    for text in args.dsl or []:
-        inputs.append(gr.parse_dsl(text))
-    for path in args.json or []:
-        inputs.append(gr.digraph_from_json(_read_json(path)))
+    """The input digraphs in command-line order. Each --dsl and --json
+    appends (reader, argument) to args.inputs; reading happens here, not
+    in argparse, so a bad input exits 3 and not 2."""
+    inputs = [read(source) for read, source in args.inputs or ()]
     if not inputs:
         raise ValueError("no input digraph: pass --dsl or --json")
     return inputs
@@ -189,17 +198,6 @@ def _read_one_graph(args):
     if len(inputs) != 1:
         raise ValueError(f"{args.command} takes exactly one input, got {len(inputs)}")
     return inputs[0]
-
-
-def _graph_args(sub):
-    sub.add_argument("--dsl", action="append", metavar="EXPR",
-                     help="builder expression, e.g. 'W(C(2),C(1))'")
-    sub.add_argument("--json", action="append", metavar="PATH",
-                     help="digraph JSON file ('-' reads stdin)")
-
-
-def _common_flags(sub):
-    sub.add_argument("--pretty", action="store_true", help="readable text output")
 
 
 def _print(value, to_json, pretty: bool):
@@ -441,74 +439,57 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact chromatic expansions of edge-coloured digraphs")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("expand", help="digraph to monomial expansion")
-    _graph_args(sub)
-    sub.add_argument("--nc", action="store_true", help="noncommuting variables")
-    sub.add_argument("--t", action="store_true", help="keep the ascent grading")
-    sub.add_argument("--basis", help="M, F, Fbar, sym:<kind>, or m with --nc")
-    sub.add_argument("--stats", action="store_true",
-                     help="write the engine's counts (classes, states, transitions, "
-                          "terms, seconds) to stderr as one JSON line")
-    _common_flags(sub)
-    sub.set_defaults(func=_cmd_expand)
+    def arg(*flags, **options):
+        return flags, options
 
-    sub = subs.add_parser("poly", help="counting polynomial in p")
-    _graph_args(sub)
-    sub.add_argument("--eval", type=int, metavar="P", help="evaluate at an integer")
-    _common_flags(sub)
-    sub.set_defaults(func=_cmd_poly)
+    def command(name, handler, help, *groups):
+        sub = subs.add_parser(name, help=help)
+        for group in groups:
+            for flags, options in group:
+                sub.add_argument(*flags, **options)
+        sub.set_defaults(func=handler)
 
-    sub = subs.add_parser("combine", help="evaluate a builder expression")
-    _graph_args(sub)
-    _common_flags(sub)
-    sub.set_defaults(func=_cmd_combine)
+    inputs = [
+        arg("--dsl", dest="inputs", action="append", metavar="EXPR",
+            type=lambda text: (_graph_from_dsl, text),
+            help="builder expression, e.g. 'W(C(2),C(1))'"),
+        arg("--json", dest="inputs", action="append", metavar="PATH",
+            type=lambda path: (_graph_from_json, path),
+            help="digraph JSON file ('-' reads stdin)")]
+    algebra = [arg("--nc", action="store_true", help="noncommuting variables"),
+               arg("--t", action="store_true", help="keep the ascent grading")]
+    pretty = [arg("--pretty", action="store_true", help="readable text output")]
 
-    sub = subs.add_parser("coproduct", help="coproduct of the expansion")
-    _graph_args(sub)
-    sub.add_argument("--nc", action="store_true")
-    sub.add_argument("--t", action="store_true")
-    _common_flags(sub)
-    sub.set_defaults(func=_cmd_coproduct)
-
-    sub = subs.add_parser("product", help="product of two expansions")
-    _graph_args(sub)
-    sub.add_argument("--nc", action="store_true")
-    sub.add_argument("--t", action="store_true")
-    _common_flags(sub)
-    sub.set_defaults(func=_cmd_product)
-
-    sub = subs.add_parser("verify", help="run a verification suite")
-    sub.add_argument("--suite", required=True,
-                     choices=("hopf", "oracle", "tables", "r-closure"))
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--trials", type=int)
-    sub.add_argument("--r", type=r_value_from_json)
-    sub.add_argument("--stats", action="store_true",
-                     help="write the check count and seconds per identity to "
-                          "stderr as one JSON line")
-    sub.set_defaults(func=_cmd_verify)
-
-    sub = subs.add_parser("bases", help="list basis expansions")
-    sub.add_argument("--space", required=True,
-                     choices=("qsym", "ncqsym", "qsym-r", "ncqsym-r"))
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--r", type=r_value_from_json, default=2)
-    sub.add_argument("--kind", required=True)
-    sub.set_defaults(func=_cmd_bases)
-
-    sub = subs.add_parser("mr", help="fundamental image of a permutation")
-    sub.add_argument("permutation", help="one-line word, e.g. 836791524 or 8,3,6,...")
-    _common_flags(sub)
-    sub.set_defaults(func=_cmd_mr)
-
-    sub = subs.add_parser("balanced", help="balanced orientations and X^k")
-    sub.add_argument("--graph", required=True, metavar="PATH",
-                     help="graph JSON {n, edges:[[u,v],...]} ('-' for stdin)")
-    sub.add_argument("--k", type=int, required=True)
-    _common_flags(sub)
-    sub.set_defaults(func=_cmd_balanced)
-
+    command("expand", _cmd_expand, "digraph to monomial expansion", inputs, algebra, [
+        arg("--basis", help="M, F, Fbar, sym:<kind>, or m with --nc"),
+        arg("--stats", action="store_true",
+            help="write the engine's counts (classes, states, transitions, "
+                 "terms, seconds) to stderr as one JSON line")], pretty)
+    command("poly", _cmd_poly, "counting polynomial in p", inputs,
+            [arg("--eval", type=int, metavar="P", help="evaluate at an integer")], pretty)
+    command("combine", _cmd_combine, "evaluate a builder expression", inputs, pretty)
+    command("coproduct", _cmd_coproduct, "coproduct of the expansion", inputs, algebra, pretty)
+    command("product", _cmd_product, "product of two expansions", inputs, algebra, pretty)
+    command("verify", _cmd_verify, "run a verification suite", [
+        arg("--suite", required=True, choices=("hopf", "oracle", "tables", "r-closure")),
+        arg("--n", type=int),
+        arg("--seed", type=int),
+        arg("--trials", type=int),
+        arg("--r", type=r_value_from_json),
+        arg("--stats", action="store_true",
+            help="write the check count and seconds per identity to "
+                 "stderr as one JSON line")])
+    command("bases", _cmd_bases, "list basis expansions", [
+        arg("--space", required=True, choices=("qsym", "ncqsym", "qsym-r", "ncqsym-r")),
+        arg("--n", type=int, required=True),
+        arg("--r", type=r_value_from_json, default=2),
+        arg("--kind", required=True)])
+    command("mr", _cmd_mr, "fundamental image of a permutation", [
+        arg("permutation", help="one-line word, e.g. 836791524 or 8,3,6,...")], pretty)
+    command("balanced", _cmd_balanced, "balanced orientations and X^k", [
+        arg("--graph", required=True, metavar="PATH",
+            help="graph JSON {n, edges:[[u,v],...]} ('-' for stdin)"),
+        arg("--k", type=int, required=True)], pretty)
     return parser
 
 

@@ -252,7 +252,7 @@ def _check_blocks(blocks):
 
 
 def ground_set(blocks) -> frozenset[int]:
-    return frozenset(x for b in blocks for x in b)
+    return frozenset().union(*blocks)
 
 
 def shape(blocks) -> tuple[int, ...]:

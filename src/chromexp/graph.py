@@ -36,6 +36,20 @@ NEQ = EdgeConstraint.NEQ
 LT = EdgeConstraint.LT
 LEQ = EdgeConstraint.LEQ
 
+_CONSTRAINTS = {kind.value: kind for kind in EdgeConstraint}
+
+
+def edge_constraint(c) -> EdgeConstraint:
+    """c if it is an EdgeConstraint, else the member whose value it is
+    ("neq", "lt" or "leq"); any other c raises ValueError."""
+    if type(c) is EdgeConstraint:  # not hashed: an Enum member hashes in Python
+        return c
+    try:
+        return _CONSTRAINTS[c]
+    except (KeyError, TypeError):  # TypeError: c cannot be hashed
+        raise ValueError(f"unknown edge colour {c!r}") from None
+
+
 COMBINE_KINDS = ("disjoint", "dashed", "solid", "double")
 _CROSS = {"dashed": NEQ, "solid": LT, "double": LEQ}
 
@@ -61,16 +75,20 @@ class EdgeColouredDigraph:
 
 
 def make(n: int, edges=()) -> EdgeColouredDigraph:
-    """Validate and build an edge-coloured digraph on vertices 0..n-1."""
+    """Validate and build an edge-coloured digraph on vertices 0..n-1.
+
+    Each edge is (u, v, colour): u and v are ints (a bool is refused),
+    and the colour is read by edge_constraint.
+    """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     seen_pairs = set()
     out = set()
     for edge in edges:
         u, v, c = edge
-        u, v = int(u), int(v)
-        if isinstance(c, str):
-            c = EdgeConstraint(c)
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"vertex ids must be ints: {edge}")
+        c = edge_constraint(c)
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"vertex out of range in edge {edge}")
         if u == v:
@@ -297,7 +315,8 @@ class SimpleGraph:
 def simple_graph(n: int, edges=()) -> SimpleGraph:
     out = set()
     for a, b in edges:
-        a, b = int(a), int(b)
+        if type(a) is not int or type(b) is not int:
+            raise ValueError(f"vertex ids must be ints: ({a!r}, {b!r})")
         if a == b:
             raise ValueError("loops are not allowed")
         if not (0 <= a < n and 0 <= b < n):
@@ -656,7 +675,7 @@ def simple_graph_from_json(data) -> SimpleGraph:
     return simple_graph(n, edges)
 
 
-_EDGE_KINDS = tuple(kind.value for kind in EdgeConstraint)
+_EDGE_KINDS = tuple(_CONSTRAINTS)
 
 
 def _is_int(value) -> bool:

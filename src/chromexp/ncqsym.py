@@ -14,7 +14,6 @@ from .combinat import (
     RSetComposition,
     bar_shuffle,
     corruptions,
-    ground_set,
     partition_meet,
     permutation,
     r_split,
@@ -27,6 +26,7 @@ from .combinat import (
     shape_partition,
     lambda_factorial,
     _corruptions,
+    _initial_segment_size,
     _shifted_quasi_shuffle,
     _standardized_splits,
 )
@@ -37,9 +37,7 @@ from .tpoly import TPoly, tpoly_from_json, tpoly_to_json
 
 def _check_key(phi):
     phi = set_composition(phi)
-    ground = ground_set(phi)
-    if ground != frozenset(range(1, len(ground) + 1)):
-        raise ValueError(f"term index must cover an initial segment: {phi}")
+    _initial_segment_size(phi)
     return phi
 
 
@@ -294,9 +292,7 @@ def basis_ncr(kind: str, phi, pi, r) -> NCQSymExpr:
     and the upper fundamental (Fbar) summing M over bar removals on the
     composition side."""
     rsc = RSetComposition(r, phi, pi)
-    ground = rsc.ground()
-    if ground != frozenset(range(1, len(ground) + 1)):
-        raise ValueError(f"ground set must be an initial segment: {sorted(ground)}")
+    _initial_segment_size(rsc.phi + rsc.pi)
     if kind == "M":
         return NCQSymExpr({psi: 1 for psi in bar_shuffle(rsc.phi, rsc.pi)})
     if kind == "Fbar":

@@ -391,10 +391,3 @@ def verify_r_closure(n_qsym: int = 5, n_nc: int = 4, r: int = 2,
         yield _closes(r_regroup_tensor, coproduct_nc(fa), r, part="coproduct-closure",
                       trial=trial, seed=seed, left=left)
 
-
-SUITES = {
-    "oracle": verify_oracle,
-    "hopf": verify_hopf,
-    "tables": verify_tables,
-    "r-closure": verify_r_closure,
-}

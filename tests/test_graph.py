@@ -67,6 +67,20 @@ def test_make_accepts_strings():
     assert g.edge_list() == [(0, 1, LT)]
 
 
+@pytest.mark.parametrize("colour", [5, None, "LT", "dashed", 1.0, ["lt"], {}])
+def test_make_refuses_an_unknown_colour(colour):
+    with pytest.raises(ValueError, match="unknown edge colour"):
+        make(2, [(0, 1, colour)])
+
+
+@pytest.mark.parametrize("u, v", [(0.7, 1), (0, 1.0), (True, 0), (0, False), ("0", 1), (None, 1)])
+def test_make_and_simple_graph_refuse_ids_that_are_not_ints(u, v):
+    with pytest.raises(ValueError, match="vertex ids must be ints"):
+        make(2, [(u, v, "lt")])
+    with pytest.raises(ValueError, match="vertex ids must be ints"):
+        simple_graph(2, [(u, v)])
+
+
 def test_two_cycle_is_allowed():
     g = make(2, [(0, 1, LEQ), (1, 0, LEQ)])
     assert len(g.edges) == 2
