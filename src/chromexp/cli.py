@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from dataclasses import dataclass
@@ -354,6 +355,10 @@ def _cmd_verify(args) -> int:
     elif suite == "tables":
         result = verify.verify_tables(**_given(n=n))
     elif suite == "r-closure":
+        # the closure trials sample nc keys of degree up to min(n - 1, 4)
+        if n is not None and n < 2 and args.trials != 0:
+            raise ValueError("closure trials need samples of degree 1 or more, so --n "
+                             f"must be 2 or more unless --trials 0; got --n {n}")
         result = verify.verify_r_closure(**_given(
             n_qsym=n, n_nc=None if n is None else min(n - 1, 4),
             r=args.r, seed=args.seed, trials=args.trials))
@@ -500,6 +505,14 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # A command builds trees of up to hundreds of thousands of acyclic
+    # lists, dicts and tuples (one term row per colouring pattern), which
+    # the cyclic collector would rescan while they grow, for about half
+    # the time of a large nc document. Reference counting frees them, so
+    # the collector is paused for the call and the caller's state is
+    # restored on every exit.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as err:
@@ -508,6 +521,9 @@ def main(argv=None) -> int:
     except MemoryError:
         print(f"error: {args.command}: out of memory", file=sys.stderr)
         return 3
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from .combinat import (
     _shifted_quasi_shuffle,
     _standardized_splits,
 )
-from .graph import LabelledDigraph, contract, induced_labelled, relabel, standardize_labels
+from .graph import LabelledDigraph, contract, induced_labelled, standardize_labels
 from .qsym import QSymExpr, TensorMap, TermMap, _coproduct, _merge
 from .tpoly import TPoly, tpoly_from_json, tpoly_to_json
 
@@ -241,14 +241,27 @@ def symmetrize(lg: LabelledDigraph, max_labels: int = 5) -> NCQSymExpr:
 
     The |A|! blow-up is inherent; max_labels guards against runaway
     inputs and can be raised explicitly.
+
+    The labelling is expanded once. Relabelling by a permutation of the
+    standardized labels maps every block of every key and re-sorts it,
+    and leaves each coefficient as it is (ascents follow the edges, not
+    the labels), so each image is summed, in the order of the
+    permutations, without expanding again.
     """
-    labels = sorted(lg.labels)
-    if len(labels) > max_labels:
+    n = len(lg.labels)
+    if n > max_labels:
         raise ValueError(
-            f"symmetrizing over {len(labels)}! relabellings exceeds the "
+            f"symmetrizing over {n}! relabellings exceeds the "
             f"max_labels={max_labels} guard")
-    return NCQSymExpr.sum_of(expand_nc(relabel(lg, dict(zip(labels, perm))))
-                             for perm in itertools.permutations(labels))
+    base = expand_nc(lg).terms
+    blocks = {block for phi in base for block in phi}
+    out: dict = {}
+    for perm in itertools.permutations(range(1, n + 1)):
+        image = (0, *perm).__getitem__
+        moved = {block: tuple(sorted(map(image, block))) for block in blocks}.__getitem__
+        for phi, coeff in base.items():
+            _merge(out, tuple(map(moved, phi)), coeff)
+    return NCQSymExpr._of(out)
 
 
 # ---------------------------------------------------------------------------

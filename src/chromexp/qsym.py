@@ -154,9 +154,16 @@ class TermMap:
         return self._of({k: c for k, c in self.terms.items() if size(k) == n})
 
     def at_t(self, t=1):
-        """Specialize the ascent variable: every coefficient becomes a scalar."""
-        return self._of({k: v for k, c in self.terms.items()
-                         if (v := tpoly.evaluate(c, t))})
+        """Specialize the ascent variable: every coefficient becomes a scalar.
+
+        Expansions share one coefficient object across many terms (one
+        TPoly per ascent count), so each distinct object is evaluated
+        once and its value looked up by id for the rest.
+        """
+        terms = self.terms
+        distinct = {id(c): c for c in terms.values()}
+        values = {i: tpoly.evaluate(c, t) for i, c in distinct.items()}
+        return self._of({k: v for k, c in terms.items() if (v := values[id(c)])})
 
     def t_degree(self) -> int:
         return max(map(tpoly.degree, self.terms.values()), default=-1)

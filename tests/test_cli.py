@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import itertools
 import json
@@ -18,6 +19,7 @@ from chromexp.graph import digraph_from_json, digraph_to_json, parse_dsl
 from chromexp.cli import main
 from chromexp.qsym import evaluate_ones
 from chromexp.verify import VerifyResult
+from test_json_writer import CALL_SITES
 
 
 def run(capsys, *argv):
@@ -442,10 +444,15 @@ def test_reused_parser_carries_nothing_between_calls(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("verify", "--suite", "r-closure", "--n", "1"), "closure trials need samples"),
+    (("verify", "--suite", "r-closure", "--n", "1"),
+     "closure trials need samples of degree 1 or more, so --n must be 2 or more "
+     "unless --trials 0; got --n 1"),
+    (("verify", "--suite", "r-closure", "--n", "1", "--trials", "3"),
+     "--n must be 2 or more unless --trials 0; got --n 1"),
     (("bases", "--space", "qsym", "--kind", "M", "--n", "-1"), "--n must be nonnegative"),
     (("expand", "--dsl", "C(1)", "--dsl", "C(2)"), "expand takes exactly one input, got 2"),
-], ids=["r-closure-without-samples", "bases-negative-n", "expand-two-inputs"])
+], ids=["r-closure-without-samples", "r-closure-n-1-with-trials", "bases-negative-n",
+        "expand-two-inputs"])
 def test_inputs_that_used_to_escape_exit_three(capsys, argv, message):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -531,3 +538,89 @@ def test_builder_expressions_round_trip_through_json(text):
     code, combined = _stdout(["combine", "--dsl", text])
     assert code == 0
     assert _stdout(["expand", "--json", "-"], combined) == _stdout(["expand", "--dsl", text])
+
+
+# ---------------------------------------------------------------------------
+# the cyclic garbage collector is paused for each call
+
+@pytest.fixture
+def gc_state():
+    """Restore the collector's state after the test, whatever it did."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def _failed(**kwargs):
+    result = VerifyResult("tables")
+    result.fail(detail="synthetic failure")
+    return result
+
+
+def _raise(error):
+    def suite(**kwargs):
+        raise error
+    return suite
+
+
+@pytest.mark.parametrize("suite, code", [
+    (lambda **kwargs: VerifyResult("tables"), 0),
+    (_failed, 1),
+    (_raise(ValueError("bad input")), 3),
+    (_raise(MemoryError()), 3),
+    (_raise(KeyError("bug")), KeyError),
+], ids=["exit-0", "exit-1", "exit-3-value-error", "exit-3-memory-error", "propagating"])
+@pytest.mark.parametrize("caller_enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_gc_is_paused_for_the_call_and_restored_on_every_exit(
+        suite, code, caller_enabled, gc_state, monkeypatch, capsys):
+    during = []
+
+    def recording(**kwargs):
+        during.append(gc.isenabled())
+        return suite(**kwargs)
+
+    monkeypatch.setattr(verify_mod, "verify_tables", recording)
+    (gc.enable if caller_enabled else gc.disable)()
+    if isinstance(code, int):
+        assert main(["verify", "--suite", "tables"]) == code
+    else:
+        with pytest.raises(code):
+            main(["verify", "--suite", "tables"])
+    assert gc.isenabled() is caller_enabled
+    assert during == [False]
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_usage_error_leaves_gc_untouched(caller_enabled, gc_state, monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
+    monkeypatch.setattr(gc, "enable", lambda: calls.append("enable"))
+    monkeypatch.setattr(gc, "isenabled", lambda: calls.append("isenabled") or caller_enabled)
+    with pytest.raises(SystemExit) as err:
+        main(["expand", "--bogus"])
+    assert err.value.code == 2
+    assert calls == []
+
+
+GC_GUARD_VERIFY = {
+    "verify-tables": ["verify", "--suite", "tables", "--n", "4"],
+    "verify-oracle": ["verify", "--suite", "oracle", "--n", "4", "--trials", "5"],
+    "verify-hopf": ["verify", "--suite", "hopf", "--n", "3", "--trials", "2"],
+    "verify-r-closure": ["verify", "--suite", "r-closure", "--n", "3", "--trials", "3"],
+}
+
+
+@pytest.mark.parametrize("argv", [*CALL_SITES.values(), *GC_GUARD_VERIFY.values()],
+                         ids=[*CALL_SITES, *GC_GUARD_VERIFY])
+def test_a_call_leaves_little_cyclic_garbage(argv, gc_state, tmp_path, capsys):
+    """The pause rests on reference counting freeing what a command
+    builds: a call may leave only a few reference cycles for the
+    collector to find afterwards."""
+    graph = tmp_path / "h.json"
+    graph.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
+    argv = [str(graph) if a == "GRAPH" else a for a in argv]
+    gc.collect()
+    gc.disable()  # as the caller: nothing is collected before the count
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert gc.collect() < 10_000

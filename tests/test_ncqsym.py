@@ -8,6 +8,7 @@ from chromexp import combinat
 from chromexp.chromatic import expand
 from chromexp.combinat import (
     RSetComposition,
+    partitions,
     set_composition,
     set_compositions,
     set_partition,
@@ -18,10 +19,12 @@ from chromexp.graph import (
     atom_labelled,
     combine_chain_labelled,
     combine_labelled,
+    grid,
     labelled,
     make,
     ncqsym_basis_digraph,
     ncsym_basis_digraph,
+    relabel,
 )
 from chromexp.ncqsym import (
     NCQSymExpr,
@@ -58,6 +61,7 @@ from chromexp.qsym import (
     qsym_from_json,
 )
 from chromexp.tpoly import TPoly
+from chromexp.verify import random_digraph
 
 
 def sc(*blocks):
@@ -236,6 +240,27 @@ def test_symmetrize_edgeless_commutes_with_rho():
     for n in range(1, 4):
         lg = labelled(make(n))
         assert rho(symmetrize(lg)) == rho(expand_nc(lg)).scale(math.factorial(n))
+
+
+def symmetrize_by_expanding_each_relabelling(lg):
+    """The reference: the n! relabellings of the labelling, each expanded."""
+    labels = sorted(lg.labels)
+    return NCQSymExpr.sum_of(expand_nc(relabel(lg, dict(zip(labels, perm))))
+                             for perm in itertools.permutations(labels))
+
+
+def test_symmetrize_matches_expanding_every_relabelling():
+    """Terms, coefficients and term order, on seeded random labelled
+    digraphs with arbitrary label sets and on every grid up to 5 cells."""
+    rng = random.Random(20261019)
+    cases = []
+    for _ in range(200):
+        g = random_digraph(rng, 4, min_n=0)
+        cases.append(labelled(g, rng.sample(range(1, 10), g.n)))
+    cases += [labelled(grid(lam)) for n in range(6) for lam in partitions(n)]
+    for lg in cases:
+        expected = symmetrize_by_expanding_each_relabelling(lg)
+        assert list(symmetrize(lg).terms.items()) == list(expected.terms.items()), lg
 
 
 def test_symmetrize_cap():

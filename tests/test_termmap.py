@@ -6,12 +6,14 @@ constructor builds from the same terms, and hold no zero coefficient:
 then every key a trusted path made would have passed the public check.
 The lean combinatorial cores behind those operations, and the basis
 elements the nc basis peel builds, are checked against the validating
-functions they replace, and `TermMap.sum_of` against the fold of `+`.
+functions they replace, `TermMap.sum_of` against the fold of `+`, and
+`TermMap.at_t` against evaluating term by term.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from chromexp import combinat
@@ -20,7 +22,7 @@ from chromexp.graph import labelled
 from chromexp.ncqsym import (
     NCQSymExpr, NCQSymTensor, _basis_nc, basis_nc, coproduct_nc, expand_nc, rho, tensor_nc)
 from chromexp.qsym import QSymExpr, QSymTensor, coproduct, tensor
-from chromexp.tpoly import TPoly
+from chromexp.tpoly import TPoly, evaluate
 from chromexp.verify import random_digraph, random_labelled_digraph
 
 T = TPoly.t_power(1)
@@ -164,3 +166,25 @@ def test_sum_of_nothing_and_of_a_cancelling_pair_is_zero():
         assert cls.sum_of([x, -x]).terms == {}
         assert cls.sum_of([x]) == x
         assert cls.sum_of([x, x]) == x.scale(2)
+
+
+def at_t_term_by_term(x, t) -> list:
+    return [(k, v) for k, c in x.terms.items() if (v := evaluate(c, t))]
+
+
+@pytest.mark.parametrize("t", [1, -1, 0, 2, Fraction(-1, 2)])
+def test_at_t_evaluates_each_shared_coefficient_as_term_by_term(t):
+    """Terms share coefficient objects, some equal but distinct, and
+    some vanish at t = -1, 1, 2 or -1/2; the result keeps the term
+    order and drops every term that became 0."""
+    shared = [TPoly((1, 1)), TPoly((1, 1)), TPoly((2, -3, 1)), TPoly((Fraction(1, 2), 1)),
+              T, 3, Fraction(-2, 3)]
+    rng = random.Random(7)
+    keys = combinat.compositions(6)
+    f = QSymExpr._of({alpha: rng.choice(shared) for alpha in keys})
+    y = expand_nc(labelled(random_digraph(random.Random(3), 5, min_n=5)))
+    for x in (f, y, y.scale(TPoly((1, 1))), tensor(f, f)):
+        got = x.at_t(t)
+        assert type(got) is type(x)
+        assert list(got.terms.items()) == at_t_term_by_term(x, t)
+        assert_canonical(got)
