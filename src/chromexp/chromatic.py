@@ -313,4 +313,5 @@ def humpert_direct(h: SimpleGraph, k: int) -> QSymExpr:
             levels[v] = 0
 
     walk(0)
+    del walk  # walk calls itself through this name: free the cycle now
     return QSymExpr(terms)

@@ -100,6 +100,7 @@ def _dumps(data) -> str:
             append(json.dumps(value))
 
     write(data, "\n")
+    del write  # write calls itself through this name: free the cycle now
     append("\n")
     return "".join(chunks)
 
@@ -156,6 +157,7 @@ def _dumps_terms(doc) -> str:
             append(text)
             append(field_sep)
         pieces.pop()
+    del render  # render calls itself through this name: free the cycle now
     pieces[0] = '{\n  "terms": [\n    {' + pad
     append("\n    }\n  ]\n}\n")
     return "".join(pieces)

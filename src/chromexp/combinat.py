@@ -51,16 +51,6 @@ def descent_set(alpha) -> frozenset[int]:
     return frozenset(itertools.accumulate(alpha[:-1]))
 
 
-def composition_from_descents(subset, n: int) -> tuple[int, ...]:
-    """Inverse of descent_set for compositions of n."""
-    cuts = sorted(subset)
-    if any(not 1 <= s <= n - 1 for s in cuts):
-        raise ValueError(f"{subset} is not a subset of [{n - 1}]")
-    if n == 0:
-        return ()
-    return tuple(b - a for a, b in itertools.pairwise([0, *cuts, n]))
-
-
 def _with_cuts(n: int, fixed: tuple, optional):
     """The compositions of n whose cut set is `fixed` plus a subset of
     the sorted sequence `optional`, fewer added cuts first and each size
@@ -80,13 +70,6 @@ def compositions(n: int):
     return _with_cuts(n, (), range(1, n))
 
 
-def coarsens(alpha, beta) -> bool:
-    """True iff alpha coarsens beta, i.e. set(alpha) is a subset of set(beta)."""
-    if sum(alpha) != sum(beta):
-        raise ValueError(f"sizes differ: {alpha} vs {beta}")
-    return descent_set(alpha) <= descent_set(beta)
-
-
 def coarsenings(alpha):
     """All compositions gamma that coarsen alpha (merge runs of adjacent parts)."""
     return list(_with_cuts(sum(alpha), (), sorted(descent_set(alpha))))
@@ -100,43 +83,17 @@ def refinements(alpha):
 
 def partitions(n: int):
     """All partitions of n, largest part first, in reverse lex order."""
-    if n == 0:
+    return _partitions(n, n)
+
+
+def _partitions(remaining, cap):
+    """The partitions of remaining with no part above cap."""
+    if remaining == 0:
         yield ()
         return
-
-    def rec(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    yield from rec(n, n)
-
-
-def sort_to_partition(alpha) -> tuple[int, ...]:
-    """The decreasing rearrangement of a composition."""
-    return tuple(sorted(alpha, reverse=True))
-
-
-def dominance_leq(mu, lam) -> bool:
-    """Whether mu is dominated by lam (mu <= lam in dominance).
-
-    Requires len(lam) <= len(mu) and every prefix sum of mu to be at most
-    the corresponding prefix sum of lam.
-    """
-    if sum(mu) != sum(lam):
-        raise ValueError(f"sizes differ: {mu} vs {lam}")
-    if len(lam) > len(mu):
-        return False
-    acc_m = acc_l = 0
-    for i in range(len(lam)):
-        acc_m += mu[i]
-        acc_l += lam[i]
-        if acc_m > acc_l:
-            return False
-    return True
+    for first in range(min(remaining, cap), 0, -1):
+        for rest in _partitions(remaining - first, first):
+            yield (first,) + rest
 
 
 def lambda_factorial(lam) -> int:
@@ -180,24 +137,6 @@ def permutation(word) -> tuple[int, ...]:
     if sorted(sigma) != list(range(1, len(sigma) + 1)):
         raise ValueError(f"not a permutation of 1..{len(sigma)}: {sigma}")
     return sigma
-
-
-def permutation_inverse(sigma) -> tuple[int, ...]:
-    inv = [0] * len(sigma)
-    for i, v in enumerate(sigma):
-        inv[v - 1] = i + 1
-    return tuple(inv)
-
-
-def standardize_word(word) -> tuple[int, ...]:
-    """std(w): rank each letter, ties broken left to right."""
-    w = tuple(word)
-    if not w:
-        raise ValueError("cannot standardize the empty word")
-    out = [0] * len(w)
-    for rank, i in enumerate(sorted(range(len(w)), key=w.__getitem__), 1):
-        out[i] = rank  # the sort is stable, so ties rank left to right
-    return tuple(out)
 
 
 def runs_set_composition(sigma) -> tuple[tuple[int, ...], ...]:
@@ -384,18 +323,6 @@ def _ranks(elements) -> dict[int, int]:
     return {x: i + 1 for i, x in enumerate(sorted(elements))}
 
 
-def corrupts(psi, phi) -> bool:
-    """Whether psi is phi with some bars removed.
-
-    Removing a bar merges two adjacent blocks; the merged elements are
-    rewritten in increasing order afterwards, so any run of adjacent
-    blocks may merge.
-    """
-    if ground_set(psi) != ground_set(phi):
-        raise ValueError("ground sets differ")
-    return set_composition(psi) in corruptions(phi)
-
-
 def corruptions(phi) -> set[tuple[tuple[int, ...], ...]]:
     """All set compositions obtained from phi by removing bars."""
     return set(_corruptions(set_composition(phi)))
@@ -422,18 +349,6 @@ def _corruptions(phi) -> list:
             start = end
         out.append(tuple(merged))
     return out
-
-
-def reforms(phi, psi) -> bool:
-    """Whether phi is psi with some bars added.
-
-    A bar may only be inserted inside a block's increasing writing, so
-    each block of psi must split into consecutive pieces of its sorted
-    elements, in increasing order.
-    """
-    if ground_set(phi) != ground_set(psi):
-        raise ValueError("ground sets differ")
-    return set_composition(phi) in reformations(psi)
 
 
 def reformations(psi) -> set[tuple[tuple[int, ...], ...]]:
@@ -464,13 +379,6 @@ def _cut_choices(k: int):
     for inner in itertools.chain.from_iterable(
             itertools.combinations(range(1, k), size) for size in range(k)):
         yield inner + (k,)
-
-
-def restrict(phi, subset) -> tuple[tuple[int, ...], ...]:
-    """Intersect each block with the subset and drop empty blocks."""
-    subset = set(subset)
-    return tuple(tuple(x for x in b if x in subset)
-                 for b in phi if any(x in subset for x in b))
 
 
 # ---------------------------------------------------------------------------
@@ -593,15 +501,6 @@ def r_split(upsilon, r):
 # ---------------------------------------------------------------------------
 # the partition lattice
 
-def partition_refines(pi, omega) -> bool:
-    """Whether every block of pi is contained in some block of omega."""
-    lookup = {}
-    for i, block in enumerate(omega):
-        for x in block:
-            lookup[x] = i
-    return all(len({lookup[x] for x in block}) == 1 for block in pi)
-
-
 def partition_meet(pi, omega) -> tuple[tuple[int, ...], ...]:
     """Greatest lower bound of two set partitions of one ground set: the
     nonempty pairwise block intersections."""
@@ -643,9 +542,6 @@ class RComposition:
         if any(p >= self.r for p in self.mu):
             raise ValueError(f"mu parts must be < {self.r}: {self.mu}")
 
-    def size(self) -> int:
-        return sum(self.beta) + sum(self.mu)
-
 
 @dataclass(frozen=True)
 class RSetComposition:
@@ -664,14 +560,6 @@ class RSetComposition:
 
     def ground(self) -> frozenset[int]:
         return ground_set(self.phi) | ground_set(self.pi)
-
-    def standardize(self) -> "RSetComposition":
-        rank = _ranks(self.ground())
-        return RSetComposition(
-            self.r,
-            tuple(tuple(rank[x] for x in b) for b in self.phi),
-            tuple(tuple(rank[x] for x in b) for b in self.pi),
-        )
 
 
 def r_compositions(n: int, r):
@@ -741,6 +629,7 @@ def tableau_contents(rows, admissible) -> dict[tuple[int, ...], int]:
                 rec(k + 1)
 
     rec(0)
+    del rec  # rec calls itself through this name: free the cycle now
     return counts
 
 

@@ -66,9 +66,6 @@ class EdgeColouredDigraph:
         per ordered pair, so (u, v) alone orders them."""
         return sorted(self.edges, key=itemgetter(0, 1))
 
-    def edges_of(self, kind: EdgeConstraint):
-        return [e for e in self.edge_list() if e[2] is kind]
-
     def __repr__(self):
         inner = ", ".join(f"{u}{c.symbol}{v}" for u, v, c in self.edge_list())
         return f"Digraph(n={self.n}; {inner})"
@@ -128,13 +125,6 @@ def labelled(graph: EdgeColouredDigraph, labels=None) -> LabelledDigraph:
     if labels is None:
         labels = range(1, graph.n + 1)
     return LabelledDigraph(graph, tuple(int(x) for x in labels))
-
-
-def relabel(lg: LabelledDigraph, sigma) -> LabelledDigraph:
-    """Compose the labelling with sigma (a mapping on the label set)."""
-    if not isinstance(sigma, dict):
-        sigma = {i + 1: v for i, v in enumerate(sigma)}
-    return LabelledDigraph(lg.graph, tuple(sigma[l] for l in lg.labels))
 
 
 def standardize_labels(lg: LabelledDigraph) -> LabelledDigraph:
@@ -748,6 +738,8 @@ def parse_dsl(text: str) -> EdgeColouredDigraph:
         result = parse_expr()
     except RecursionError:  # the interpreter's own nesting limit
         raise ValueError("builder expression nested too deeply") from None
+    finally:
+        del parse_expr  # parse_expr calls itself through this name: free the cycle now
     if pos != len(tokens):
         raise ValueError(f"trailing input after expression: {text!r}")
     return result

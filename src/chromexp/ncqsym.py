@@ -425,14 +425,3 @@ def ncqsym_tensor_to_json(t: NCQSymTensor) -> dict:
             coeff_t = coeffs[coeff] = tpoly_to_json(coeff)
         terms.append({"left": left, "right": right, "coeff_t": coeff_t})
     return {"terms": terms}
-
-
-def r_coordinates_to_json(coords: dict) -> dict:
-    items = sorted(coords.items(),
-                   key=lambda kv: (set_composition_sort_key(kv[0].phi), kv[0].pi))
-    return {
-        "terms": [{"comp_part": [list(b) for b in rsc.phi],
-                   "part_part": [list(b) for b in rsc.pi],
-                   "coeff_t": tpoly_to_json(coeff)}
-                  for rsc, coeff in items],
-    }

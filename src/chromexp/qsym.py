@@ -484,6 +484,7 @@ def _horizontal_strips(nu, lam, size) -> list:
             shape.pop()
 
     grow(0, size, [])
+    del grow  # grow calls itself through this name: free the cycle now
     return out
 
 

@@ -1,0 +1,172 @@
+"""Reference definitions that only tests read.
+
+Each is a plain statement of a definition from the paper's combinatorics
+that some test checks live code against: `corrupts` checks
+`reformations`, `dominance_leq` checks the order of `partitions`,
+`standardize_word` and `permutation_inverse` check `mr_F`'s fibres,
+`relabel` builds the relabellings that `symmetrize` must sum. No program
+path reads them, so they live here rather than in `chromexp`. pytest does
+not collect this module: its name does not match test_*.py.
+"""
+
+import itertools
+
+from chromexp.combinat import (
+    RSetComposition,
+    corruptions,
+    descent_set,
+    ground_set,
+    reformations,
+    set_composition,
+    set_composition_sort_key,
+)
+from chromexp.graph import LabelledDigraph
+from chromexp.tpoly import tpoly_to_json
+
+# ---------------------------------------------------------------------------
+# compositions and partitions
+
+
+def composition_from_descents(subset, n: int) -> tuple[int, ...]:
+    """Inverse of descent_set for compositions of n."""
+    cuts = sorted(subset)
+    if any(not 1 <= s <= n - 1 for s in cuts):
+        raise ValueError(f"{subset} is not a subset of [{n - 1}]")
+    if n == 0:
+        return ()
+    return tuple(b - a for a, b in itertools.pairwise([0, *cuts, n]))
+
+
+def coarsens(alpha, beta) -> bool:
+    """True iff alpha coarsens beta, i.e. set(alpha) is a subset of set(beta)."""
+    if sum(alpha) != sum(beta):
+        raise ValueError(f"sizes differ: {alpha} vs {beta}")
+    return descent_set(alpha) <= descent_set(beta)
+
+
+def sort_to_partition(alpha) -> tuple[int, ...]:
+    """The decreasing rearrangement of a composition."""
+    return tuple(sorted(alpha, reverse=True))
+
+
+def dominance_leq(mu, lam) -> bool:
+    """Whether mu is dominated by lam (mu <= lam in dominance).
+
+    Requires len(lam) <= len(mu) and every prefix sum of mu to be at most
+    the corresponding prefix sum of lam.
+    """
+    if sum(mu) != sum(lam):
+        raise ValueError(f"sizes differ: {mu} vs {lam}")
+    if len(lam) > len(mu):
+        return False
+    acc_m = acc_l = 0
+    for i in range(len(lam)):
+        acc_m += mu[i]
+        acc_l += lam[i]
+        if acc_m > acc_l:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# permutations and words
+
+
+def permutation_inverse(sigma) -> tuple[int, ...]:
+    inv = [0] * len(sigma)
+    for i, v in enumerate(sigma):
+        inv[v - 1] = i + 1
+    return tuple(inv)
+
+
+def standardize_word(word) -> tuple[int, ...]:
+    """std(w): rank each letter, ties broken left to right."""
+    w = tuple(word)
+    if not w:
+        raise ValueError("cannot standardize the empty word")
+    out = [0] * len(w)
+    for rank, i in enumerate(sorted(range(len(w)), key=w.__getitem__), 1):
+        out[i] = rank  # the sort is stable, so ties rank left to right
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# set compositions and set partitions
+
+
+def standardize_r_set_composition(rsc: RSetComposition) -> RSetComposition:
+    """Order-preserving relabelling of both parts' ground set onto [n]."""
+    rank = {x: i + 1 for i, x in enumerate(sorted(ground_set(rsc.phi) | ground_set(rsc.pi)))}
+    return RSetComposition(
+        rsc.r,
+        tuple(tuple(rank[x] for x in b) for b in rsc.phi),
+        tuple(tuple(rank[x] for x in b) for b in rsc.pi),
+    )
+
+
+def corrupts(psi, phi) -> bool:
+    """Whether psi is phi with some bars removed.
+
+    Removing a bar merges two adjacent blocks; the merged elements are
+    rewritten in increasing order afterwards, so any run of adjacent
+    blocks may merge.
+    """
+    if ground_set(psi) != ground_set(phi):
+        raise ValueError("ground sets differ")
+    return set_composition(psi) in corruptions(phi)
+
+
+def reforms(phi, psi) -> bool:
+    """Whether phi is psi with some bars added.
+
+    A bar may only be inserted inside a block's increasing writing, so
+    each block of psi must split into consecutive pieces of its sorted
+    elements, in increasing order.
+    """
+    if ground_set(phi) != ground_set(psi):
+        raise ValueError("ground sets differ")
+    return set_composition(phi) in reformations(psi)
+
+
+def restrict(phi, subset) -> tuple[tuple[int, ...], ...]:
+    """Intersect each block with the subset and drop empty blocks."""
+    subset = set(subset)
+    return tuple(tuple(x for x in b if x in subset)
+                 for b in phi if any(x in subset for x in b))
+
+
+def partition_refines(pi, omega) -> bool:
+    """Whether every block of pi is contained in some block of omega."""
+    lookup = {}
+    for i, block in enumerate(omega):
+        for x in block:
+            lookup[x] = i
+    return all(len({lookup[x] for x in block}) == 1 for block in pi)
+
+
+def r_coordinates_to_json(coords: dict) -> dict:
+    """JSON form of r_regroup's coordinates, keyed by r-set-composition."""
+    items = sorted(coords.items(),
+                   key=lambda kv: (set_composition_sort_key(kv[0].phi), kv[0].pi))
+    return {
+        "terms": [{"comp_part": [list(b) for b in rsc.phi],
+                   "part_part": [list(b) for b in rsc.pi],
+                   "coeff_t": tpoly_to_json(coeff)}
+                  for rsc, coeff in items],
+    }
+
+
+# ---------------------------------------------------------------------------
+# digraphs
+
+
+def edges_of(g, kind):
+    """The edges of g with colour kind, in edge_list order."""
+    return [e for e in g.edge_list() if e[2] is kind]
+
+
+def relabel(lg: LabelledDigraph, sigma) -> LabelledDigraph:
+    """Compose the labelling with sigma (a mapping on the label set)."""
+    if not isinstance(sigma, dict):
+        sigma = {i + 1: v for i, v in enumerate(sigma)}
+    return LabelledDigraph(lg.graph, tuple(sigma[l] for l in lg.labels))

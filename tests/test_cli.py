@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -624,3 +625,29 @@ def test_a_call_leaves_little_cyclic_garbage(argv, gc_state, tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert gc.collect() < 10_000
+
+
+@pytest.mark.parametrize("argv", [*CALL_SITES.values(), *GC_GUARD_VERIFY.values()],
+                         ids=[*CALL_SITES, *GC_GUARD_VERIFY])
+def test_a_call_leaves_no_chromexp_function_in_a_cycle(argv, gc_state, tmp_path, capsys):
+    """A recursive nested function that calls itself through its closure
+    cell is in a reference cycle with everything else it closes over,
+    which then outlives the call until the next collection: none of
+    chromexp's functions may be left in cyclic garbage."""
+    graph = tmp_path / "h.json"
+    graph.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
+    argv = [str(graph) if a == "GRAPH" else a for a in argv]
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        cyclic = sorted({f"{f.__module__}.{f.__qualname__}" for f in gc.garbage
+                         if isinstance(f, types.FunctionType)
+                         and f.__module__.startswith("chromexp")})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert cyclic == []

@@ -28,11 +28,11 @@ from chromexp.combinat import (
     set_compositions,
     set_partition,
     set_partitions,
-    sort_to_partition,
 )
 from chromexp.linalg import solve_combination
 from chromexp.ncqsym import _blockwise_symmetrized, basis_ncsym, expand_nc
 from chromexp.qsym import QSymExpr, _t_slices, basis_r, in_qsym_r, is_symmetric
+from reference import sort_to_partition
 
 R_VALUES = (1, 2, 3, INFINITY)
 

@@ -28,7 +28,6 @@ from chromexp.combinat import (
     set_composition_sort_key,
     set_partition,
     set_partitions,
-    sort_to_partition,
 )
 from chromexp.ncqsym import (
     NCQSymExpr,
@@ -45,6 +44,7 @@ from chromexp.ncqsym import (
 )
 from chromexp.qsym import QSymExpr, _ssyt_contents, is_symmetric
 from chromexp.verify import _immaculate_contents
+from reference import sort_to_partition
 
 # ---------------------------------------------------------------------------
 # the earlier implementations

@@ -37,6 +37,7 @@ from chromexp.graph import (
     underlying_graph,
 )
 from chromexp.qsym import QSymExpr, basis_sym
+from reference import edges_of
 
 TRIANGLE = make(3, [(0, 1, NEQ), (1, 2, LT), (2, 0, LEQ)])
 
@@ -140,9 +141,9 @@ def test_atoms():
     assert sorted(c3.edges) == [(0, 1, LEQ), (1, 2, LEQ), (2, 0, LEQ)]
     for kind in "CPQK":
         assert atom(kind, 1) == make(1)
-    assert atom("P", 3).edges_of(LT) == [(0, 1, LT), (1, 2, LT)]
-    assert atom("Q", 3).edges_of(LEQ) == [(0, 1, LEQ), (1, 2, LEQ)]
-    assert len(atom("K", 4).edges_of(NEQ)) == 6
+    assert edges_of(atom("P", 3), LT) == [(0, 1, LT), (1, 2, LT)]
+    assert edges_of(atom("Q", 3), LEQ) == [(0, 1, LEQ), (1, 2, LEQ)]
+    assert len(edges_of(atom("K", 4), NEQ)) == 6
     with pytest.raises(ValueError):
         atom("C", 0)
 
@@ -157,17 +158,17 @@ def test_grid_shapes():
     assert grid((1,)) == make(1)
     g = grid((2, 1))
     assert g.n == 3
-    assert len(g.edges_of(LT)) == 1 and len(g.edges_of(LEQ)) == 1
+    assert len(edges_of(g, LT)) == 1 and len(edges_of(g, LEQ)) == 1
     assert expand(g).at_t(1) == basis_sym("s", (2, 1))
 
 
 def test_comp_grid_first_column_only():
     g = comp_grid((1, 2))
     # cells (0,0),(1,0),(1,1): strict down the first column, weak along row 2
-    assert len(g.edges_of(LT)) == 1 and len(g.edges_of(LEQ)) == 1
+    assert len(edges_of(g, LT)) == 1 and len(edges_of(g, LEQ)) == 1
     rs = comp_grid((1, 2), row_strict=True)
-    assert len(rs.edges_of(LT)) == 1 and len(rs.edges_of(LEQ)) == 1
-    assert rs.edges_of(LEQ)[0] != g.edges_of(LEQ)[0]
+    assert len(edges_of(rs, LT)) == 1 and len(edges_of(rs, LEQ)) == 1
+    assert edges_of(rs, LEQ)[0] != edges_of(g, LEQ)[0]
 
 
 # ---------------------------------------------------------------------------

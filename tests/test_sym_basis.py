@@ -15,10 +15,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chromexp.combinat import compositions, distinct_rearrangements, partitions, sort_to_partition
+from chromexp.combinat import compositions, distinct_rearrangements, partitions
 from chromexp.linalg import solve_combination
 from chromexp.qsym import SYM_KINDS, QSymExpr, _ssyt_contents, basis_M, basis_sym, to_sym_basis
 from chromexp.tpoly import TPoly, coefficients, evaluate
+from reference import dominance_leq, sort_to_partition
 
 
 def ref_rearrangements(lam):
@@ -111,6 +112,16 @@ def test_coordinates_come_in_the_dense_solves_order():
     for kind in SYM_KINDS:
         assert shape_of(to_sym_basis(f, kind)) == shape_of(dense_to_sym_basis(f, kind))
     assert list(to_sym_basis(f, "m")) == [(2, 1), (3,)]
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_partitions_list_each_partition_after_all_that_dominate_it(n):
+    """to_sym_basis keys its rows by the place in partitions(n), which
+    keeps the Schur system triangular with no fill only if no partition
+    comes before one that strictly dominates it."""
+    lams = list(partitions(n))
+    for i, j in itertools.combinations(range(len(lams)), 2):
+        assert not dominance_leq(lams[i], lams[j]), (lams[i], lams[j])
 
 
 def test_unknown_kind_is_refused_before_any_work():

@@ -17,7 +17,6 @@ from chromexp import oracle
 from chromexp.chromatic import expand, humpert
 from chromexp.combinat import (
     coarsenings,
-    composition_from_descents,
     compositions,
     descent_set,
     distinct_rearrangements,
@@ -37,6 +36,7 @@ from chromexp.oracle import TruncPoly, WordPoly, _ascents, _colouring_ok
 from chromexp.qsym import QSymExpr, _merge
 from chromexp.tpoly import TPoly
 from chromexp.verify import random_digraph, random_labelled_digraph
+from reference import composition_from_descents
 
 # ---------------------------------------------------------------------------
 # the earlier implementations
