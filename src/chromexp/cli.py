@@ -37,11 +37,76 @@ from .qsym import QSymExpr, _join_terms, _pretty_term
 from .tpoly import tpoly_to_json
 
 
-def _emit(data) -> None:
-    """Write one JSON document to stdout: a bare {"terms": rows}
-    document through the row writer, any other through _dumps."""
-    rows_only = type(data) is dict and data.keys() == {"terms"}
-    sys.stdout.write(_dumps_terms(data) if rows_only else _dumps(data))
+def _emit(data, to_json=None) -> None:
+    """Write one JSON document to stdout, joined in full before it is
+    written. data is the document, or a value that to_json turns into
+    one. An NCQSymExpr is written from its term map by _dumps_nc, with
+    no document built; a bare {"terms": rows} document (a tensor's) goes
+    through the row writer _dumps_terms, and any other through _dumps."""
+    if type(data) is NCQSymExpr:
+        text = _dumps_nc(data)
+    else:
+        if to_json is not None:
+            data = to_json(data)
+        rows_only = type(data) is dict and data.keys() == {"terms"}
+        text = _dumps_terms(data) if rows_only else _dumps(data)
+    sys.stdout.write(text)
+
+
+def _scalar_texts(values) -> list:
+    """The JSON text of each int or str in values."""
+    return [str(x) if type(x) is int else json.dumps(x) for x in values]
+
+
+class _Texts(dict):
+    """A memo of texts: a missing key's text is made by make(key) on its
+    first lookup."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        text = self[key] = self.make(key)
+        return text
+
+
+def _dumps_nc(f: NCQSymExpr) -> str:
+    """The text of json.dumps(ncqsym_to_json(f), indent=2) and a newline,
+    byte for byte, read from f's term map.
+
+    The text of each distinct block and coefficient is made once per
+    call. Each row is laid out from those shared texts and fixed
+    separators, appended to one list that is joined once: a row is never
+    a string of its own.
+    """
+    terms = f.terms
+    if not terms:
+        return '{\n  "terms": []\n}\n'
+    # a row's fields sit at depth 3, the blocks of its key at depth 4
+    first = _Texts(lambda block: "\n        [\n          " + ",\n          ".join(
+        _scalar_texts(block)) + "\n        ]")
+    later = _Texts(lambda block: "," + first[block])
+    coeffs = _Texts(lambda coeff: "[\n        " + ",\n        ".join(
+        _scalar_texts(tpoly_to_json(coeff))) + "\n      ]")
+    row = '\n    },\n    {\n      "set_composition": ['
+    empty_row = row + '],\n      "coeff_t": '  # the key () of degree 0
+    coeff_field = '\n      ],\n      "coeff_t": '
+    pieces = []  # the text in order; a shared text is copied only by the join
+    append, extend, later_text = pieces.append, pieces.extend, later.__getitem__
+    for phi in f._sorted(terms):
+        if phi:
+            append(row)
+            append(first[phi[0]])
+            extend(map(later_text, phi[1:]))
+            append(coeff_field)
+        else:
+            append(empty_row)
+        append(coeffs[terms[phi]])
+    pieces[0] = '{\n  "terms": [\n    {' + pieces[0][len("\n    },\n    {"):]
+    append("\n    }\n  ]\n}\n")
+    return "".join(pieces)
 
 
 def _dumps(data) -> str:
@@ -85,8 +150,7 @@ def _dumps(data) -> str:
                 append(text)
                 return
             if types <= {int, str}:
-                items = [str(x) if type(x) is int else json.dumps(x) for x in value]
-                append("[" + inner + ("," + inner).join(items) + pad + "]")
+                append("[" + inner + ("," + inner).join(_scalar_texts(value)) + pad + "]")
                 return
             sep = "[" + inner
             for item in value:
@@ -107,15 +171,16 @@ def _dumps(data) -> str:
 
 def _dumps_terms(doc) -> str:
     """The text of json.dumps(doc, indent=2) and a newline, byte for byte,
-    for a {"terms": rows} document such as the nc builders and
-    qsym_tensor_to_json return.
+    for a {"terms": rows} document such as the tensor builders
+    qsym_tensor_to_json and ncqsym_tensor_to_json return (an nc
+    expansion is written by _dumps_nc, with no document).
 
     Each row is a nonempty dict with str keys, and each of its values is
-    a list of ints and strs or a list of such lists. The builders share
-    one list per distinct block and coefficient, so each list object is
-    rendered once per indent, memoised on (pad, id(list)). The rows are
-    then laid out from those texts with no walk by type, and the whole
-    text, newline included, is joined once.
+    a list of ints and strs or a list of such lists. ncqsym_tensor_to_json
+    shares one list per distinct leg, block and coefficient, so each list
+    object is rendered once per indent, memoised on (pad, id(list)). The
+    rows are then laid out from those texts with no walk by type, and the
+    whole text, newline included, is joined once.
     """
     rows = doc["terms"]
     if not rows:
@@ -136,7 +201,7 @@ def _dumps_terms(doc) -> str:
                     if text is None:
                         items[i] = memo[ids[i]] = render(value[i], inner)
         else:
-            items = [str(x) if type(x) is int else json.dumps(x) for x in value]
+            items = _scalar_texts(value)
         return "[" + inner + ("," + inner).join(items) + pad + "]"
 
     pad = "\n      "  # a row's fields sit at depth 3
@@ -207,7 +272,7 @@ def _print(value, to_json, pretty: bool):
     if pretty:
         print(value.pretty())
     else:
-        _emit(to_json(value))
+        _emit(value, to_json)
 
 
 def _report_stats(stats) -> None:

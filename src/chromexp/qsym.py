@@ -83,10 +83,6 @@ class TermMap:
         return out
 
     @classmethod
-    def zero(cls):
-        return cls._of({})
-
-    @classmethod
     def sum_of(cls, exprs):
         """The sum of term maps of this class, merged into one dict in
         the order given (the terms and order of a fold of +)."""

@@ -107,7 +107,8 @@ def test_tracer_binds_every_name_and_restores_the_originals():
                      ("expand", "--basis", "sym:e", "--dsl", "K(3)"),
                      ("coproduct", "--dsl", "P(2)"),
                      ("coproduct", "--nc", "--dsl", "P(2)"),
-                     ("product", "--nc", "--dsl", "C(1)", "--dsl", "C(1)")):
+                     ("product", "--nc", "--dsl", "C(1)", "--dsl", "C(1)"),
+                     ("mr", "21")):
             assert run(argv)[0] == 0
         seen = {name for name, calls in t.calls.items() if calls}
         assert {"cli.main", "graph.parse_dsl", "chromatic.expand", "ncqsym.expand_nc",

@@ -357,9 +357,9 @@ def test_out_of_memory_exits_three_with_one_line(capsys):
 
 
 def test_out_of_memory_in_the_row_writer_exits_three_with_one_line(capsys):
-    """The row writer joins the whole text before anything is written,
-    so a MemoryError while writing leaves stdout empty."""
-    with mock.patch.object(cli, "_dumps_terms", side_effect=MemoryError):
+    """The nc expansion writer joins the whole text before anything is
+    written, so a MemoryError while writing leaves stdout empty."""
+    with mock.patch.object(cli, "_dumps_nc", side_effect=MemoryError):
         code = main(["expand", "--nc", "--dsl", "U(P(2),C(1))"])
     captured = capsys.readouterr()
     assert code == 3

@@ -236,7 +236,7 @@ def test_r_rejects_a_bool():
 
 
 def test_in_qsym_r_checks_r_before_the_expression():
-    for f in (QSymExpr.zero(), QSymExpr({(1,): 1})):
+    for f in (QSymExpr(), QSymExpr({(1,): 1})):
         for r in (0, -1, True, 2.0):
             with pytest.raises(ValueError, match="r must be a positive integer"):
                 in_qsym_r(f, r)

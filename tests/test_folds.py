@@ -194,7 +194,7 @@ def ncr_sum(draw, r, n):
     picks = draw(st.lists(st.tuples(st.sampled_from(rscs), st.sampled_from(("M", "Fbar")),
                                     st.integers(min_value=-3, max_value=3)),
                           max_size=4))
-    out = NCQSymExpr.zero()
+    out = NCQSymExpr()
     for rsc, kind, coeff in picks:
         if coeff:
             out = out + basis_ncr(kind, rsc.phi, rsc.pi, r).scale(coeff)

@@ -6,7 +6,10 @@ text of `json.dumps(data, indent=2)` and a newline, byte for byte;
 renders itself (dicts with str keys, lists and tuples, lists of ints
 that repeat) with what it hands back to json (other scalars, empty
 containers, dicts with non-str keys), at every depth. The row writer is
-checked on what the three term-list builders return.
+checked on what the three term-list builders return. The nc expansion
+writer `cli._dumps_nc` reads a term map, and must give the text of
+`json.dumps(ncqsym_to_json(f), indent=2)` and a newline: the builder is
+the reference for its bytes.
 """
 
 import json
@@ -120,9 +123,15 @@ def unshared_tensor_to_json(t):
                       for (a, b_), coeff in t.items_sorted()]}
 
 
+def nc_reference_text(f):
+    return json.dumps(ncqsym_to_json(f), indent=2) + "\n"
+
+
 def assert_rows_match(f):
-    """The sharing builders equal the unshared ones, and the row writer
-    prints json.dumps' text of what they return."""
+    """The sharing builders equal the unshared ones, the row writer
+    prints json.dumps' text of what they return, and the nc expansion
+    writer prints the same text from the term map."""
+    assert cli._dumps_nc(f) == nc_reference_text(f)
     tensor = coproduct_nc(f)
     for doc, reference in ((ncqsym_to_json(f), unshared_to_json(f)),
                            (ncqsym_tensor_to_json(tensor), unshared_tensor_to_json(tensor))):
@@ -149,16 +158,29 @@ def test_row_writer_matches_json_dumps_on_commutative_coproducts(seed, keep_t):
 
 
 def test_row_writer_on_empty_expansions_and_empty_legs():
-    zero = NCQSymExpr.zero()
+    zero = NCQSymExpr()
     assert ncqsym_to_json(zero) == {"terms": []}
     assert cli._dumps_terms({"terms": []}) == json.dumps({"terms": []}, indent=2) + "\n"
     # a double-edge cycle with a dashed edge inside expands to zero
     infeasible = expand_nc(labelled(make(3, [(0, 1, "leq"), (1, 2, "leq"), (2, 0, "leq"),
                                              (0, 2, "neq")])))
     assert infeasible == zero
-    for f in (zero, expand_nc(labelled(make(0))), expand_nc(labelled(make(2))),
+    # the empty digraph expands to its one key () of degree 0
+    empty = expand_nc(labelled(make(0)))
+    assert empty == NCQSymExpr({(): 1})
+    assert cli._dumps_nc(empty).count('"set_composition": []') == 1
+    for f in (zero, infeasible, empty, empty.scale(Fraction(-7, 2)),
+              expand_nc(labelled(make(2))),
               expand_nc(labelled(make(3, [(0, 1, "lt")]))).scale(Fraction(-1, 2))):
         assert_rows_match(f)
+
+
+def test_nc_writer_on_seven_edgeless_vertices():
+    """One term per ordered set partition of [7]: more rows, blocks and
+    shared texts than any hypothesis example."""
+    f = expand_nc(labelled(make(7))).at_t(1)
+    assert len(f.terms) == 47293
+    assert cli._dumps_nc(f) == nc_reference_text(f)
     # every coproduct has a term with an empty left and one with an empty right leg
     rows = ncqsym_tensor_to_json(coproduct_nc(expand_nc(labelled(make(2)))))["terms"]
     assert any(not row["left"] for row in rows) and any(not row["right"] for row in rows)
@@ -191,14 +213,18 @@ CALL_SITES = {
     "balanced": ["balanced", "--graph", "GRAPH", "--k", "1"],
 }
 
-# the bare term lists (nc expansions and every tensor) go through the row writer
-ROW_SITES = {"expand-nc", "coproduct", "coproduct-nc", "product-nc"}
+# nc expansions go to the term-map writer, and every tensor's bare term
+# list to the row writer
+NC_SITES = {"expand-nc", "product-nc"}
+ROW_SITES = {"coproduct", "coproduct-nc"}
 
 
 @pytest.mark.parametrize("site", sorted(CALL_SITES))
 def test_every_emit_site_prints_json_dumps_text(site, balanced_graph, monkeypatch, capsys):
-    """Each site hands one document to a writer, `_dumps` or the row
-    writer `_dumps_terms`, and prints json.dumps' text of it."""
+    """Each site hands one value to a writer, `_dumps`, the row writer
+    `_dumps_terms` or the nc expansion writer `_dumps_nc`, and prints
+    json.dumps' text of its document (for `_dumps_nc`, the document
+    `ncqsym_to_json` builds)."""
     emitted = []
 
     def recording(name):
@@ -209,10 +235,14 @@ def test_every_emit_site_prints_json_dumps_text(site, balanced_graph, monkeypatc
             return write(data)
         return record
 
-    for name in ("_dumps", "_dumps_terms"):
+    for name in ("_dumps", "_dumps_terms", "_dumps_nc"):
         monkeypatch.setattr(cli, name, recording(name))
     argv = [balanced_graph if a == "GRAPH" else a for a in CALL_SITES[site]]
     assert main(argv) == 0
     ((writer, data),) = emitted
-    assert writer == ("_dumps_terms" if site in ROW_SITES else "_dumps")
+    assert writer == ("_dumps_nc" if site in NC_SITES
+                      else "_dumps_terms" if site in ROW_SITES else "_dumps")
+    if writer == "_dumps_nc":
+        assert type(data) is NCQSymExpr
+        data = ncqsym_to_json(data)
     assert capsys.readouterr().out == json.dumps(data, indent=2) + "\n"

@@ -379,7 +379,7 @@ def test_to_ncqsym_basis_roundtrip():
         f = expand_nc(random_labelled(rng, 4)).at_t(1)
         for kind in ("F", "Fbar"):
             coords = to_ncqsym_basis(f, kind)
-            rebuilt = NCQSymExpr.zero()
+            rebuilt = NCQSymExpr()
             for phi, coeff in coords.items():
                 rebuilt = rebuilt + basis_nc(kind, phi).scale(coeff)
             assert rebuilt == f

@@ -146,7 +146,7 @@ def test_sum_of_equals_the_fold_of_plus(data):
         st.lists(st.tuples(st.sampled_from(keys), COEFFS), max_size=6).map(cls), max_size=5))
     # negated copies cancel terms, some of them to zero
     exprs += [-e for e in data.draw(st.lists(st.sampled_from(exprs), max_size=3))] if exprs else []
-    fold = cls.zero()
+    fold = cls()
     for e in exprs:
         fold = fold + e
     got = cls.sum_of(iter(exprs))
