@@ -12,9 +12,11 @@ validation error.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import gc
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -37,20 +39,38 @@ from .qsym import QSymExpr, _join_terms, _pretty_term
 from .tpoly import tpoly_to_json
 
 
+# characters of a document encoded and written to stdout's byte layer at a time
+_WRITE_SLICE = 1 << 20
+
+
 def _emit(data, to_json=None) -> None:
-    """Write one JSON document to stdout, joined in full before it is
-    written. data is the document, or a value that to_json turns into
-    one. An NCQSymExpr is written from its term map by _dumps_nc, with
-    no document built; a bare {"terms": rows} document (a tensor's) goes
-    through the row writer _dumps_terms, and any other through _dumps."""
-    if type(data) is NCQSymExpr:
-        text = _dumps_nc(data)
-    else:
-        if to_json is not None:
-            data = to_json(data)
-        rows_only = type(data) is dict and data.keys() == {"terms"}
-        text = _dumps_terms(data) if rows_only else _dumps(data)
-    sys.stdout.write(text)
+    """Write one JSON document to stdout, joined in full before anything
+    is written, so a command that fails while it computes or lays out its
+    output leaves stdout empty. data is the
+    document, or a value that to_json turns into one. A bare
+    {"terms": rows} document (a tensor's) goes through the row writer
+    _dumps_terms, and any other through _dumps, which writes each
+    QSymExpr or NCQSymExpr in it from its term map.
+
+    A stream with a byte layer (the real stdout) gets the text encoded
+    with the stream's encoding and errors _WRITE_SLICE characters at a
+    time, each slice written to the byte layer as it is encoded. Its
+    text layer would encode the whole text at once: a bytes copy as
+    large as the document, held beside it. A stream without one (a
+    StringIO) or one that translates newlines gets the text itself."""
+    if to_json is not None:
+        data = to_json(data)
+    rows_only = type(data) is dict and data.keys() == {"terms"}
+    text = _dumps_terms(data) if rows_only else _dumps(data)
+    out = sys.stdout
+    buffer = getattr(out, "buffer", None)
+    if buffer is None or os.linesep != "\n":
+        out.write(text)
+        return
+    out.flush()  # the text already given to the text layer goes first
+    encode = codecs.getincrementalencoder(out.encoding)(out.errors).encode
+    for start in range(0, len(text), _WRITE_SLICE):
+        buffer.write(encode(text[start:start + _WRITE_SLICE]))
 
 
 def _scalar_texts(values) -> list:
@@ -58,8 +78,17 @@ def _scalar_texts(values) -> list:
     return [str(x) if type(x) is int else json.dumps(x) for x in values]
 
 
+def _list_text(values, pad) -> str:
+    """The JSON text of a list of ints and strs that starts on a line
+    indented by pad (a newline and the indent)."""
+    if not values:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(_scalar_texts(values)) + pad + "]"
+
+
 class _Texts(dict):
-    """A memo of texts: a missing key's text is made by make(key) on its
+    """A memo of texts: a missing key's value is made by make(key) on its
     first lookup."""
 
     __slots__ = ("make",)
@@ -72,58 +101,105 @@ class _Texts(dict):
         return text
 
 
-def _dumps_nc(f: NCQSymExpr) -> str:
-    """The text of json.dumps(ncqsym_to_json(f), indent=2) and a newline,
-    byte for byte, read from f's term map.
+def _expansion_texts(pad) -> tuple:
+    """The memos that every expansion starting on a line indented by pad
+    shares within one document: (compositions, first, later, coeffs).
 
-    The text of each distinct block and coefficient is made once per
-    call. Each row is laid out from those shared texts and fixed
-    separators, appended to one list that is joined once: a row is never
-    a string of its own.
+    A term's fields sit three levels in. compositions and coeffs give
+    the text of a composition and of a coefficient's coeff_t list
+    there; first and later give a block of a set composition as a line
+    one level further in, later with the comma after the block before.
     """
+    fields = pad + "      "
+    blocks = fields + "  "
+    first = _Texts(lambda block: blocks + _list_text(block, blocks))
+    return (_Texts(lambda alpha: _list_text(alpha, fields)),
+            first,
+            _Texts(lambda block: "," + first[block]),
+            _Texts(lambda coeff: _list_text(tpoly_to_json(coeff), fields)))
+
+
+def _write_expansion(f, pad, pieces: list, memos: dict) -> None:
+    """Append to pieces the text that json.dumps(..., indent=2) gives
+    qsym_to_json(f) or ncqsym_to_json(f) starting on a line indented by
+    pad, read from f's term map in f._sorted order.
+
+    memos is a _Texts of _expansion_texts, shared by the expansions of
+    one document, so the text of each distinct block, composition and
+    coefficient is made once per pad there. Each row appends those
+    shared texts and fixed separators to pieces: a row is never a string
+    of its own, and the caller joins the document once.
+    """
+    compositions, first, later, coeffs = memos[pad]
+    head = pad + "  "
+    rows = head + "  "
+    fields = rows + "  "
+    append = pieces.append
     terms = f.terms
+    if type(f) is NCQSymExpr:
+        append("{" + head + '"terms": ')
+    else:
+        degrees = f.degrees()
+        if len(degrees) > 1:
+            sep = "{" + head + '"components": [' + rows
+            for n in degrees:
+                append(sep)
+                _write_expansion(f.homogeneous_component(n), rows, pieces, memos)
+                sep = "," + rows
+            append(head + "]" + pad + "}")
+            return
+        append("{" + head + f'"degree": {degrees[0] if degrees else 0},' + head + '"terms": ')
     if not terms:
-        return '{\n  "terms": []\n}\n'
-    # a row's fields sit at depth 3, the blocks of its key at depth 4
-    first = _Texts(lambda block: "\n        [\n          " + ",\n          ".join(
-        _scalar_texts(block)) + "\n        ]")
-    later = _Texts(lambda block: "," + first[block])
-    coeffs = _Texts(lambda coeff: "[\n        " + ",\n        ".join(
-        _scalar_texts(tpoly_to_json(coeff))) + "\n      ]")
-    row = '\n    },\n    {\n      "set_composition": ['
-    empty_row = row + '],\n      "coeff_t": '  # the key () of degree 0
-    coeff_field = '\n      ],\n      "coeff_t": '
-    pieces = []  # the text in order; a shared text is copied only by the join
-    append, extend, later_text = pieces.append, pieces.extend, later.__getitem__
-    for phi in f._sorted(terms):
-        if phi:
+        append("[]" + pad + "}")
+        return
+    close = rows + "},"  # ends the row before: the first row's is cut to "["
+    start = len(pieces)
+    if type(f) is NCQSymExpr:
+        row = close + rows + "{" + fields + '"set_composition": ['
+        empty_row = row + "]," + fields + '"coeff_t": '  # the key () of degree 0
+        coeff_field = fields + "]," + fields + '"coeff_t": '
+        extend, later_text = pieces.extend, later.__getitem__
+        for phi in f._sorted(terms):
+            if phi:
+                append(row)
+                append(first[phi[0]])
+                extend(map(later_text, phi[1:]))
+                append(coeff_field)
+            else:
+                append(empty_row)
+            append(coeffs[terms[phi]])
+    else:
+        row = close + rows + "{" + fields + '"composition": '
+        coeff_field = "," + fields + '"coeff_t": '
+        for alpha in f._sorted(terms):
             append(row)
-            append(first[phi[0]])
-            extend(map(later_text, phi[1:]))
+            append(compositions[alpha])
             append(coeff_field)
-        else:
-            append(empty_row)
-        append(coeffs[terms[phi]])
-    pieces[0] = '{\n  "terms": [\n    {' + pieces[0][len("\n    },\n    {"):]
-    append("\n    }\n  ]\n}\n")
-    return "".join(pieces)
+            append(coeffs[terms[alpha]])
+    pieces[start] = "[" + pieces[start][len(close):]
+    append(rows + "}" + head + "]" + pad + "}")
 
 
 def _dumps(data) -> str:
-    """The text of json.dumps(data, indent=2) and a newline, byte for byte.
+    """The text of json.dumps(data, indent=2) and a newline, byte for byte,
+    where each QSymExpr or NCQSymExpr in data stands for its document,
+    qsym_to_json or ncqsym_to_json of it.
 
     With an indent, json encodes in pure Python, one generator per
     container. This writer renders a flat list of ints and strs in one
     step, and each list of ints once per call: blocks and coefficients
     repeat across thousands of terms. Dicts with str keys and other
-    nonempty lists recurse. Other containers go to json.dumps with the
-    indent, re-indented to their depth (JSON text has no raw newline in
-    a string), and scalars to json.dumps without it: the same text.
+    nonempty lists recurse, and an expansion is laid out from its term
+    map by _write_expansion, with no document built. Other containers go
+    to json.dumps with the indent, re-indented to their depth (JSON text
+    has no raw newline in a string), and scalars to json.dumps without
+    it: the same text. The text is joined once.
     """
     chunks = []
     append = chunks.append
     int_lists = {}
     keys = {}
+    memos = _Texts(_expansion_texts)  # pad -> the texts its expansions share
 
     def write(value, pad):  # pad: a newline and the indent of value's line
         kind = type(value)
@@ -139,25 +215,26 @@ def _dumps(data) -> str:
                 sep = "," + inner
             append(pad + "}")
         elif (kind is list or kind is tuple) and value:
-            inner = pad + "  "
             types = set(map(type, value))
             if types == {int}:
                 memo = (pad, tuple(value))
                 text = int_lists.get(memo)
                 if text is None:
-                    text = int_lists[memo] = (
-                        "[" + inner + ("," + inner).join(map(str, value)) + pad + "]")
+                    text = int_lists[memo] = _list_text(value, pad)
                 append(text)
                 return
             if types <= {int, str}:
-                append("[" + inner + ("," + inner).join(_scalar_texts(value)) + pad + "]")
+                append(_list_text(value, pad))
                 return
+            inner = pad + "  "
             sep = "[" + inner
             for item in value:
                 append(sep)
                 write(item, inner)
                 sep = "," + inner
             append(pad + "]")
+        elif kind is QSymExpr or kind is NCQSymExpr:
+            _write_expansion(value, pad, chunks, memos)
         elif isinstance(value, (dict, list, tuple)):
             append(json.dumps(value, indent=2).replace("\n", pad))
         else:
@@ -172,8 +249,7 @@ def _dumps(data) -> str:
 def _dumps_terms(doc) -> str:
     """The text of json.dumps(doc, indent=2) and a newline, byte for byte,
     for a {"terms": rows} document such as the tensor builders
-    qsym_tensor_to_json and ncqsym_tensor_to_json return (an nc
-    expansion is written by _dumps_nc, with no document).
+    qsym_tensor_to_json and ncqsym_tensor_to_json return.
 
     Each row is a nonempty dict with str keys, and each of its values is
     a list of ints and strs or a list of such lists. ncqsym_tensor_to_json
@@ -189,19 +265,16 @@ def _dumps_terms(doc) -> str:
     names = {}
 
     def render(value, pad):  # pad: a newline and the indent of value's line
-        if not value:
-            return "[]"
+        if not value or type(value[0]) is not list:
+            return _list_text(value, pad)
         inner = pad + "  "
-        if type(value[0]) is list:
-            memo = memos.setdefault(inner, {})
-            ids = list(map(id, value))
-            items = list(map(memo.get, ids))
-            if None in items:
-                for i, text in enumerate(items):
-                    if text is None:
-                        items[i] = memo[ids[i]] = render(value[i], inner)
-        else:
-            items = _scalar_texts(value)
+        memo = memos.setdefault(inner, {})
+        ids = list(map(id, value))
+        items = list(map(memo.get, ids))
+        if None in items:
+            for i, text in enumerate(items):
+                if text is None:
+                    items[i] = memo[ids[i]] = render(value[i], inner)
         return "[" + inner + ("," + inner).join(items) + pad + "]"
 
     pad = "\n      "  # a row's fields sit at depth 3
@@ -307,7 +380,7 @@ class _Algebra:
     on its module (by a profiler, say) is the one that runs."""
 
     expand: Callable       # (input digraph, stats or None) -> expansion
-    to_json: Callable
+    to_json: Callable | None  # None: _emit writes the expansion from its term map
     coproduct: Callable
     tensor_to_json: Callable
     coordinates: Callable  # (expansion, --basis) -> coordinates, prefix, index format
@@ -325,7 +398,7 @@ _ALGEBRAS = {
     True: _Algebra(
         expand=lambda g, stats: ncqsym.expand_nc(
             g if isinstance(g, gr.LabelledDigraph) else gr.labelled(g), stats),
-        to_json=lambda f: ncqsym.ncqsym_to_json(f),
+        to_json=None,
         coproduct=lambda f: ncqsym.coproduct_nc(f),
         tensor_to_json=lambda t: ncqsym.ncqsym_tensor_to_json(t),
         coordinates=_ncqsym_coordinates),
@@ -458,9 +531,9 @@ def _cmd_bases(args) -> int:
     n, r, kind = args.n, args.r, args.kind
     if n < 0:
         raise ValueError(f"--n must be nonnegative, got {n}")
-    to_json = _ALGEBRAS[args.space.startswith("nc")].to_json
-    # _emit writes a tuple index as a JSON array
-    elements = [{"index": index, "expansion": to_json(f)}
+    # _emit writes a tuple index as a JSON array, and each expansion from
+    # its term map
+    elements = [{"index": index, "expansion": f}
                 for index, f in _basis_elements(args.space, n, r, kind)]
     _emit({"space": args.space, "kind": kind, "n": n,
            "r": None if args.space in ("qsym", "ncqsym") else combinat.r_value_to_json(r),
@@ -498,7 +571,7 @@ def _cmd_balanced(args) -> int:
     else:
         _emit({"k": args.k,
                "orientations": [gr.digraph_to_json(o) for o in balanced],
-               "xk": qsym.qsym_to_json(xk)})
+               "xk": xk})
     return 0
 
 

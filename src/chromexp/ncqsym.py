@@ -376,9 +376,10 @@ def ncqsym_to_json(f: NCQSymExpr) -> dict:
 
     The terms share one list per distinct block and one coeff_t list
     per distinct coefficient, so the returned lists are read-only. The
-    CLI writes a bare expansion's text from the term map itself
-    (cli._dumps_nc); this document is what nests inside the bases and mr
-    outputs, and the reference for that text.
+    CLI writes an expansion's text in its expand, product, bases and
+    balanced outputs from the term map itself (cli._write_expansion);
+    this document nests inside the mr output, and is the reference for
+    that text.
     """
     blocks, coeffs, terms = {}, {}, []
     for phi, coeff in f.items_sorted():

@@ -357,14 +357,110 @@ def test_out_of_memory_exits_three_with_one_line(capsys):
 
 
 def test_out_of_memory_in_the_row_writer_exits_three_with_one_line(capsys):
-    """The nc expansion writer joins the whole text before anything is
-    written, so a MemoryError while writing leaves stdout empty."""
-    with mock.patch.object(cli, "_dumps_nc", side_effect=MemoryError):
+    """The whole text is joined before anything is written, so a
+    MemoryError while writing an expansion's rows leaves stdout empty."""
+    with mock.patch.object(cli, "_write_expansion", side_effect=MemoryError):
         code = main(["expand", "--nc", "--dsl", "U(P(2),C(1))"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err == "error: expand: out of memory\n"
+
+
+class _ByteLayer(io.BytesIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, data):
+        self.sizes.append(len(data))
+        return super().write(data)
+
+
+class _TextSink(io.TextIOWrapper):
+    """A text stream over a byte layer that records what its text layer
+    is given, and the size of each write to its byte layer."""
+
+    def __init__(self, **options):
+        super().__init__(_ByteLayer(), **options)
+        self.texts = []
+
+    def write(self, text):
+        self.texts.append(text)
+        return super().write(text)
+
+
+SINK_ARGV = ["bases", "--space", "ncqsym", "--n", "2", "--kind", "h"]
+
+
+def _text_through_string_io(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
+def test_a_document_goes_encoded_to_the_byte_layer_after_pending_text(encoding):
+    """With a byte layer under stdout, the document is encoded with the
+    stream's encoding and written there, after the text already given to
+    the text layer, and not through the text layer. Its bytes are those
+    of the text a sink without a byte layer (StringIO) is handed."""
+    text = _text_through_string_io(SINK_ARGV)
+    sink = _TextSink(encoding=encoding, errors="strict")
+    sink.write("before\n")
+    with contextlib.redirect_stdout(sink):
+        assert main(SINK_ARGV) == 0
+    sink.flush()
+    assert sink.texts == ["before\n"]
+    assert sink.buffer.getvalue() == b"before\n" + text.encode(encoding)
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-16"])
+def test_a_document_goes_to_the_byte_layer_in_slices(encoding, monkeypatch):
+    """The byte layer gets the document a slice at a time, through one
+    encoder: a stateful encoding starts it with one byte order mark."""
+    monkeypatch.setattr(cli, "_WRITE_SLICE", 100)
+    text = _text_through_string_io(SINK_ARGV)
+    sink = _TextSink(encoding=encoding)
+    with contextlib.redirect_stdout(sink):
+        assert main(SINK_ARGV) == 0
+    sink.flush()
+    assert sink.texts == []
+    assert sink.buffer.getvalue() == text.encode(encoding)
+    slices = -(-len(text) // 100)
+    assert slices > 10 and len(sink.buffer.sizes) == slices
+
+
+def test_a_text_layer_that_translates_newlines_gets_the_text(monkeypatch):
+    monkeypatch.setattr(cli.os, "linesep", "\r\n")
+    text = _text_through_string_io(SINK_ARGV)
+    sink = _TextSink(encoding="utf-8", newline="\r\n")
+    with contextlib.redirect_stdout(sink):
+        assert main(SINK_ARGV) == 0
+    sink.flush()
+    assert sink.texts == [text]
+    assert sink.buffer.getvalue() == text.replace("\n", "\r\n").encode()
+
+
+def test_out_of_memory_leaves_the_byte_layer_empty():
+    sink = _TextSink(encoding="utf-8")
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(io.StringIO()), \
+            mock.patch.object(cli, "_write_expansion", side_effect=MemoryError):
+        assert main(SINK_ARGV) == 3
+    sink.flush()
+    assert sink.texts == [] and sink.buffer.getvalue() == b""
+
+
+def test_a_separate_process_prints_the_same_bytes():
+    """The real stdout of a process has a byte layer."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run([sys.executable, "-m", "chromexp.cli", *SINK_ARGV], env=env,
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == _text_through_string_io(SINK_ARGV).encode()
 
 
 OUT_OF_MEMORY = """

@@ -6,10 +6,11 @@ text of `json.dumps(data, indent=2)` and a newline, byte for byte;
 renders itself (dicts with str keys, lists and tuples, lists of ints
 that repeat) with what it hands back to json (other scalars, empty
 containers, dicts with non-str keys), at every depth. The row writer is
-checked on what the three term-list builders return. The nc expansion
-writer `cli._dumps_nc` reads a term map, and must give the text of
-`json.dumps(ncqsym_to_json(f), indent=2)` and a newline: the builder is
-the reference for its bytes.
+checked on what the three term-list builders return. `_dumps` writes a
+QSymExpr or NCQSymExpr in a document from its term map, and must give
+the text of the document with each expansion replaced by its builder's,
+`qsym_to_json` or `ncqsym_to_json`: the builders are the reference for
+those bytes.
 """
 
 import json
@@ -30,7 +31,13 @@ from chromexp.ncqsym import (
     ncqsym_tensor_to_json,
     ncqsym_to_json,
 )
-from chromexp.qsym import coproduct, qsym_tensor_to_json, qsym_to_json
+from chromexp.qsym import (
+    SYM_KINDS,
+    QSymExpr,
+    coproduct,
+    qsym_tensor_to_json,
+    qsym_to_json,
+)
 from chromexp.tpoly import TPoly, tpoly_to_json
 from chromexp.verify import random_digraph, random_labelled_digraph
 
@@ -131,7 +138,7 @@ def assert_rows_match(f):
     """The sharing builders equal the unshared ones, the row writer
     prints json.dumps' text of what they return, and the nc expansion
     writer prints the same text from the term map."""
-    assert cli._dumps_nc(f) == nc_reference_text(f)
+    assert cli._dumps(f) == nc_reference_text(f)
     tensor = coproduct_nc(f)
     for doc, reference in ((ncqsym_to_json(f), unshared_to_json(f)),
                            (ncqsym_tensor_to_json(tensor), unshared_tensor_to_json(tensor))):
@@ -168,7 +175,7 @@ def test_row_writer_on_empty_expansions_and_empty_legs():
     # the empty digraph expands to its one key () of degree 0
     empty = expand_nc(labelled(make(0)))
     assert empty == NCQSymExpr({(): 1})
-    assert cli._dumps_nc(empty).count('"set_composition": []') == 1
+    assert cli._dumps(empty).count('"set_composition": []') == 1
     for f in (zero, infeasible, empty, empty.scale(Fraction(-7, 2)),
               expand_nc(labelled(make(2))),
               expand_nc(labelled(make(3, [(0, 1, "lt")]))).scale(Fraction(-1, 2))):
@@ -180,7 +187,7 @@ def test_nc_writer_on_seven_edgeless_vertices():
     shared texts than any hypothesis example."""
     f = expand_nc(labelled(make(7))).at_t(1)
     assert len(f.terms) == 47293
-    assert cli._dumps_nc(f) == nc_reference_text(f)
+    assert cli._dumps(f) == nc_reference_text(f)
     # every coproduct has a term with an empty left and one with an empty right leg
     rows = ncqsym_tensor_to_json(coproduct_nc(expand_nc(labelled(make(2)))))["terms"]
     assert any(not row["left"] for row in rows) and any(not row["right"] for row in rows)
@@ -213,18 +220,43 @@ CALL_SITES = {
     "balanced": ["balanced", "--graph", "GRAPH", "--k", "1"],
 }
 
-# nc expansions go to the term-map writer, and every tensor's bare term
-# list to the row writer
-NC_SITES = {"expand-nc", "product-nc"}
+# the documents that hold expansions, which _dumps writes from their term
+# maps, and every tensor's bare term list, which goes to the row writer
+EXPANSION_SITES = {"expand-nc", "product-nc", "bases", "balanced"}
 ROW_SITES = {"coproduct", "coproduct-nc"}
+
+
+def builder_document(data):
+    """data with each QSymExpr or NCQSymExpr in it replaced by its
+    builder's document, qsym_to_json or ncqsym_to_json of it."""
+    kind = type(data)
+    if kind is QSymExpr:
+        return qsym_to_json(data)
+    if kind is NCQSymExpr:
+        return ncqsym_to_json(data)
+    if kind is dict:
+        return {key: builder_document(value) for key, value in data.items()}
+    if kind is list or kind is tuple:
+        return [builder_document(value) for value in data]
+    return data
+
+
+def holds_expansion(data) -> bool:
+    kind = type(data)
+    if kind is QSymExpr or kind is NCQSymExpr:
+        return True
+    if kind is dict:
+        data = data.values()
+    elif kind is not list and kind is not tuple:
+        return False
+    return any(map(holds_expansion, data))
 
 
 @pytest.mark.parametrize("site", sorted(CALL_SITES))
 def test_every_emit_site_prints_json_dumps_text(site, balanced_graph, monkeypatch, capsys):
-    """Each site hands one value to a writer, `_dumps`, the row writer
-    `_dumps_terms` or the nc expansion writer `_dumps_nc`, and prints
-    json.dumps' text of its document (for `_dumps_nc`, the document
-    `ncqsym_to_json` builds)."""
+    """Each site hands one value to a writer, `_dumps` or the row writer
+    `_dumps_terms`, and prints json.dumps' text of its document, where
+    each expansion in it stands for the document its builder makes."""
     emitted = []
 
     def recording(name):
@@ -235,14 +267,65 @@ def test_every_emit_site_prints_json_dumps_text(site, balanced_graph, monkeypatc
             return write(data)
         return record
 
-    for name in ("_dumps", "_dumps_terms", "_dumps_nc"):
+    for name in ("_dumps", "_dumps_terms"):
         monkeypatch.setattr(cli, name, recording(name))
     argv = [balanced_graph if a == "GRAPH" else a for a in CALL_SITES[site]]
     assert main(argv) == 0
     ((writer, data),) = emitted
-    assert writer == ("_dumps_nc" if site in NC_SITES
-                      else "_dumps_terms" if site in ROW_SITES else "_dumps")
-    if writer == "_dumps_nc":
-        assert type(data) is NCQSymExpr
-        data = ncqsym_to_json(data)
+    assert writer == ("_dumps_terms" if site in ROW_SITES else "_dumps")
+    assert holds_expansion(data) == (site in EXPANSION_SITES)
+    data = builder_document(data)
     assert capsys.readouterr().out == json.dumps(data, indent=2) + "\n"
+
+
+def _expansions():
+    """Expansions of both algebras with every layout the writer has: no
+    terms, the key () of degree 0, several degrees (a QSymExpr's
+    components), and int, negative, Fraction and t-polynomial
+    coefficients."""
+    t_poly = TPoly([0, -2, Fraction(1, 3)])
+    return [
+        QSymExpr(),
+        QSymExpr({(): 1}),
+        QSymExpr({(2, 1): Fraction(-7, 2), (1, 2): t_poly, (3,): 1}),
+        QSymExpr({(): -1, (1,): Fraction(1, 3), (2, 1): t_poly, (1, 1, 1): 5}),
+        expand(make(3, [(0, 1, "lt"), (1, 2, "leq")])),
+        NCQSymExpr(),
+        NCQSymExpr({(): 1}),
+        NCQSymExpr({((1,), (2,)): -3, ((1, 2),): Fraction(5, 7), ((2,), (1,)): t_poly}),
+        expand_nc(labelled(make(3, [(0, 1, "lt"), (1, 2, "leq")]))),
+    ]
+
+
+def test_expansions_at_depths_zero_one_and_three():
+    for f in _expansions():
+        for doc in (f, {"a": f}, [f, 3], {"x": [{"y": f, "z": [1, 2]}], "w": None}):
+            assert cli._dumps(doc) == json.dumps(builder_document(doc), indent=2) + "\n"
+
+
+def test_expansions_sharing_blocks_and_coefficients_at_several_depths():
+    """One document's expansions share their texts per indent: the same
+    blocks, compositions and coefficients recur here at depths 0 to 4."""
+    fs = _expansions()
+    doc = [fs, {"a": fs, "b": [[fs[3], fs[7]], {"c": [fs[7], fs[3]]}]}, fs[7], fs[3]]
+    assert cli._dumps(doc) == json.dumps(builder_document(doc), indent=2) + "\n"
+
+
+BASES = [("qsym", kind, 4) for kind in ("M", "F", "Fbar", *SYM_KINDS)] + [
+    ("ncqsym", kind, 3) for kind in ("M", "F", "Fbar", "m", "p", "e", "h", "S")] + [
+    ("qsym-r", kind, 3) for kind in ("M", "S", "Fbar", "Sbar")] + [
+    ("ncqsym-r", kind, 3) for kind in ("M", "Fbar")]
+
+
+@pytest.mark.parametrize("space, kind, max_n", BASES,
+                         ids=[f"{space}-{kind}" for space, kind, _ in BASES])
+def test_bases_listing_prints_json_dumps_text_of_its_builder_document(
+        space, kind, max_n, capsys):
+    to_json = ncqsym_to_json if space.startswith("nc") else qsym_to_json
+    for n in range(max_n + 1):
+        assert main(["bases", "--space", space, "--n", str(n), "--kind", kind]) == 0
+        doc = {"space": space, "kind": kind, "n": n,
+               "r": None if space in ("qsym", "ncqsym") else 2,
+               "elements": [{"index": index, "expansion": to_json(f)}
+                            for index, f in cli._basis_elements(space, n, 2, kind)]}
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
