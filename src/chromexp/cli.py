@@ -12,11 +12,9 @@ validation error.
 from __future__ import annotations
 
 import argparse
-import codecs
 import functools
 import gc
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -39,7 +37,7 @@ from .qsym import QSymExpr, _join_terms, _pretty_term
 from .tpoly import tpoly_to_json
 
 
-# characters of a document encoded and written to stdout's byte layer at a time
+# characters of a document handed to stdout's write at a time
 _WRITE_SLICE = 1 << 20
 
 
@@ -52,25 +50,25 @@ def _emit(data, to_json=None) -> None:
     _dumps_terms, and any other through _dumps, which writes each
     QSymExpr or NCQSymExpr in it from its term map.
 
-    A stream with a byte layer (the real stdout) gets the text encoded
-    with the stream's encoding and errors _WRITE_SLICE characters at a
-    time, each slice written to the byte layer as it is encoded. Its
-    text layer would encode the whole text at once: a bytes copy as
-    large as the document, held beside it. A stream without one (a
-    StringIO) or one that translates newlines gets the text itself."""
+    A stream that encodes (one with a byte layer, as the real stdout)
+    gets the text _WRITE_SLICE characters at a time. Its text layer
+    encodes each string it is given at once, so one write of the whole
+    text would hold a bytes copy as large as the document beside it; a
+    slice holds at most one slice's. A document of one slice or less is
+    one write, so only a failure of the write itself can leave part of
+    a larger document on stdout. A StringIO gets the text in one write:
+    it keeps that one string uncopied, and would copy slices into a
+    second string."""
     if to_json is not None:
         data = to_json(data)
     rows_only = type(data) is dict and data.keys() == {"terms"}
     text = _dumps_terms(data) if rows_only else _dumps(data)
     out = sys.stdout
-    buffer = getattr(out, "buffer", None)
-    if buffer is None or os.linesep != "\n":
+    if not hasattr(out, "buffer"):
         out.write(text)
         return
-    out.flush()  # the text already given to the text layer goes first
-    encode = codecs.getincrementalencoder(out.encoding)(out.errors).encode
     for start in range(0, len(text), _WRITE_SLICE):
-        buffer.write(encode(text[start:start + _WRITE_SLICE]))
+        out.write(text[start:start + _WRITE_SLICE])
 
 
 def _scalar_texts(values) -> list:

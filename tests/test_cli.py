@@ -377,17 +377,10 @@ class _ByteLayer(io.BytesIO):
         return super().write(data)
 
 
-class _TextSink(io.TextIOWrapper):
-    """A text stream over a byte layer that records what its text layer
-    is given, and the size of each write to its byte layer."""
-
-    def __init__(self, **options):
-        super().__init__(_ByteLayer(), **options)
-        self.texts = []
-
-    def write(self, text):
-        self.texts.append(text)
-        return super().write(text)
+def _text_sink(**options):
+    """A text stream over a byte layer that records the size of each
+    write it is given."""
+    return io.TextIOWrapper(_ByteLayer(), **options)
 
 
 SINK_ARGV = ["bases", "--space", "ncqsym", "--n", "2", "--kind", "h"]
@@ -400,56 +393,81 @@ def _text_through_string_io(argv):
     return out.getvalue()
 
 
-@pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
-def test_a_document_goes_encoded_to_the_byte_layer_after_pending_text(encoding):
-    """With a byte layer under stdout, the document is encoded with the
-    stream's encoding and written there, after the text already given to
-    the text layer, and not through the text layer. Its bytes are those
-    of the text a sink without a byte layer (StringIO) is handed."""
+@pytest.mark.parametrize("encoding", ["utf-8", "ascii", "utf-16"])
+def test_a_text_stream_gets_the_bytes_of_the_string_io_text(encoding):
+    """A stream that encodes gets the bytes of the text a StringIO is
+    handed, after the text it was given before."""
     text = _text_through_string_io(SINK_ARGV)
-    sink = _TextSink(encoding=encoding, errors="strict")
+    sink = _text_sink(encoding=encoding, errors="strict")
     sink.write("before\n")
     with contextlib.redirect_stdout(sink):
         assert main(SINK_ARGV) == 0
     sink.flush()
-    assert sink.texts == ["before\n"]
-    assert sink.buffer.getvalue() == b"before\n" + text.encode(encoding)
+    assert sink.buffer.getvalue() == ("before\n" + text).encode(encoding)
 
 
 @pytest.mark.parametrize("encoding", ["utf-8", "utf-16"])
-def test_a_document_goes_to_the_byte_layer_in_slices(encoding, monkeypatch):
-    """The byte layer gets the document a slice at a time, through one
-    encoder: a stateful encoding starts it with one byte order mark."""
+def test_a_document_goes_to_stdout_in_slices(encoding, monkeypatch):
+    """The document reaches the byte layer a slice at a time, through
+    the stream's one encoder: a stateful encoding starts it with one
+    byte order mark."""
     monkeypatch.setattr(cli, "_WRITE_SLICE", 100)
     text = _text_through_string_io(SINK_ARGV)
-    sink = _TextSink(encoding=encoding)
+    sink = _text_sink(encoding=encoding, write_through=True)
     with contextlib.redirect_stdout(sink):
         assert main(SINK_ARGV) == 0
-    sink.flush()
-    assert sink.texts == []
     assert sink.buffer.getvalue() == text.encode(encoding)
     slices = -(-len(text) // 100)
     assert slices > 10 and len(sink.buffer.sizes) == slices
 
 
-def test_a_text_layer_that_translates_newlines_gets_the_text(monkeypatch):
-    monkeypatch.setattr(cli.os, "linesep", "\r\n")
-    text = _text_through_string_io(SINK_ARGV)
-    sink = _TextSink(encoding="utf-8", newline="\r\n")
-    with contextlib.redirect_stdout(sink):
+def test_a_string_io_is_handed_the_joined_text_once(monkeypatch):
+    """A StringIO keeps the one string it is given without a copy, so it
+    gets the whole document in one write, however long."""
+    monkeypatch.setattr(cli, "_WRITE_SLICE", 100)
+    writes = []
+
+    class Sink(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    with contextlib.redirect_stdout(Sink()):
         assert main(SINK_ARGV) == 0
-    sink.flush()
-    assert sink.texts == [text]
-    assert sink.buffer.getvalue() == text.replace("\n", "\r\n").encode()
+    text, = writes
+    assert len(text) > 1000 and text == _text_through_string_io(SINK_ARGV)
 
 
-def test_out_of_memory_leaves_the_byte_layer_empty():
-    sink = _TextSink(encoding="utf-8")
+def test_out_of_memory_before_the_write_leaves_stdout_empty():
+    sink = _text_sink(encoding="utf-8")
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(io.StringIO()), \
             mock.patch.object(cli, "_write_expansion", side_effect=MemoryError):
         assert main(SINK_ARGV) == 3
     sink.flush()
-    assert sink.texts == [] and sink.buffer.getvalue() == b""
+    assert sink.buffer.getvalue() == b""
+
+
+def test_out_of_memory_in_the_second_slice_leaves_the_first_on_stdout(monkeypatch):
+    """Only a failure of the write itself can leave part of a document
+    of more than one slice on stdout: the slices written before it."""
+    monkeypatch.setattr(cli, "_WRITE_SLICE", 100)
+    text = _text_through_string_io(SINK_ARGV)
+
+    class Sink(io.TextIOWrapper):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > 1:
+                raise MemoryError
+            return super().write(text)
+
+    sink, err = Sink(_ByteLayer(), encoding="utf-8"), io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(err):
+        assert main(SINK_ARGV) == 3
+    sink.flush()
+    assert sink.buffer.getvalue() == text[:100].encode()
+    assert err.getvalue() == "error: bases: out of memory\n"
 
 
 def test_a_separate_process_prints_the_same_bytes():
