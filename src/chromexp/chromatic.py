@@ -220,10 +220,23 @@ def closed_subset_sum(g: EdgeColouredDigraph, part, tensor_cls):
     vertex subsets closed under outgoing solid and double edges of the
     tensor (expansion off the subset) (x) (expansion on the subset),
     where part(vertices) expands the part of the input induced on those
-    vertices of g."""
-    vertices = set(range(g.n))
+    vertices of g.
+
+    A vertex set can be both some closed subset and the complement of
+    another, so each distinct set is expanded once per call and kept
+    until the call returns. Every part is expanded from its own induced
+    digraph: no algebra-side coproduct or expansion of g is read.
+    """
+    at_one: dict = {}  # sorted vertex tuple -> part(vertices).at_t(1)
+
+    def leg(vertices):
+        got = at_one.get(vertices)
+        if got is None:
+            got = at_one[vertices] = part(vertices).at_t(1)
+        return got
+
     return tensor_cls.sum_of(
-        tensor_cls.of_legs(part(vertices - set(subset)).at_t(1), part(subset).at_t(1))
+        tensor_cls.of_legs(leg(tuple(v for v in range(g.n) if v not in subset)), leg(subset))
         for subset in closed_subsets(g))
 
 

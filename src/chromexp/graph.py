@@ -721,8 +721,11 @@ def parse_dsl(text: str) -> EdgeColouredDigraph:
     def parse_expr():
         name = take()
         if name in _DSL_ATOMS:
-            (n,) = parse_args(parse_int)
-            return atom(name, n)
+            args = parse_args(parse_int)
+            if len(args) != 1:
+                raise ValueError(
+                    f"{name} takes one vertex count, got {len(args)}, in {text!r}")
+            return atom(name, args[0])
         if name == "grid":
             return grid(parse_args(parse_int))
         if name == "cgrid":

@@ -32,7 +32,7 @@ from .combinat import (
 )
 from .graph import LabelledDigraph, contract, induced_labelled, standardize_labels
 from .qsym import QSymExpr, TensorMap, TermMap, _coproduct, _merge
-from .tpoly import TPoly, tpoly_from_json, tpoly_to_json
+from .tpoly import TPoly, add_all, tpoly_from_json, tpoly_to_json
 
 
 def _check_key(phi):
@@ -140,11 +140,15 @@ def expand_nc(lg: LabelledDigraph, stats: dict | None = None) -> NCQSymExpr:
 
 
 def rho(f: NCQSymExpr) -> QSymExpr:
-    """Let the variables commute: M_Phi goes to M of the shape of Phi."""
-    out: dict = {}
+    """Let the variables commute: M_Phi goes to M of the shape of Phi.
+
+    The coefficients are grouped by shape, in the order each shape first
+    occurs, and each group is totalled once (tpoly.add_all)."""
+    groups: dict = {}
     for phi, coeff in f.terms.items():
-        _merge(out, shape(phi), coeff)
-    return QSymExpr._of(out)
+        groups.setdefault(shape(phi), []).append(coeff)
+    return QSymExpr._of({alpha: total for alpha, coeffs in groups.items()
+                         if (total := add_all(coeffs))})
 
 
 def coproduct_nc(f: NCQSymExpr) -> NCQSymTensor:

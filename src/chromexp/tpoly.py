@@ -15,6 +15,7 @@ treat a scalar c as the constant polynomial c.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 
 
 class TPoly:
@@ -167,6 +168,21 @@ def coefficients(c) -> tuple:
     if isinstance(c, TPoly):
         return c.coeffs
     return (c,) if c else ()
+
+
+def add_all(values: list):
+    """The sum of a nonempty list of exact coefficients, totalled in one
+    step: a list of one returns its own object, a list of scalars their
+    sum, and a list holding a TPoly the TPoly summed column by column.
+    Zero comes back falsy, as from the left fold of +."""
+    if len(values) == 1:
+        return values[0]
+    if not any(isinstance(c, TPoly) for c in values):
+        return sum(values)
+    out = list(map(sum, zip_longest(*map(coefficients, values), fillvalue=0)))
+    while out and out[-1] == 0:
+        out.pop()
+    return TPoly._new(tuple(out))
 
 
 def evaluate(c, t=1):

@@ -4,9 +4,10 @@ Each is a plain statement of a definition from the paper's combinatorics
 that some test checks live code against: `corrupts` checks
 `reformations`, `dominance_leq` checks the order of `partitions`,
 `standardize_word` and `permutation_inverse` check `mr_F`'s fibres,
-`relabel` builds the relabellings that `symmetrize` must sum. No program
-path reads them, so they live here rather than in `chromexp`. pytest does
-not collect this module: its name does not match test_*.py.
+`relabel` builds the relabellings that `symmetrize` must sum, and
+`fold_rho` checks `rho`'s grouped sums. No program path reads them, so
+they live here rather than in `chromexp`. pytest does not collect this
+module: its name does not match test_*.py.
 """
 
 import itertools
@@ -19,8 +20,10 @@ from chromexp.combinat import (
     reformations,
     set_composition,
     set_composition_sort_key,
+    shape,
 )
 from chromexp.graph import LabelledDigraph
+from chromexp.qsym import QSymExpr, _merge
 from chromexp.tpoly import tpoly_to_json
 
 # ---------------------------------------------------------------------------
@@ -154,6 +157,16 @@ def r_coordinates_to_json(coords: dict) -> dict:
                    "coeff_t": tpoly_to_json(coeff)}
                   for rsc, coeff in items],
     }
+
+
+def fold_rho(f) -> QSymExpr:
+    """rho as the left fold of _merge over the terms: each coefficient
+    added to the running sum at its shape, which is dropped whenever it
+    cancels to zero."""
+    out: dict = {}
+    for phi, coeff in f.terms.items():
+        _merge(out, shape(phi), coeff)
+    return QSymExpr._of(out)
 
 
 # ---------------------------------------------------------------------------

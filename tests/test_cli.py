@@ -577,6 +577,22 @@ def test_inputs_that_used_to_escape_exit_three(capsys, argv, message):
     assert line.startswith("error: ") and message in line
 
 
+@pytest.mark.parametrize("text, atom, count", [
+    ("C(1,2)", "C", 2), ("P(1,2)", "P", 2), ("Q(1,1)", "Q", 2), ("K(2,3)", "K", 2),
+    ("U(C(1),P(2,3,4))", "P", 3),
+])
+def test_an_atom_given_more_than_one_count_exits_three(capsys, text, atom, count):
+    message = f"{atom} takes one vertex count, got {count}, in {text!r}"
+    with pytest.raises(ValueError) as err:
+        parse_dsl(text)
+    assert str(err.value) == message
+    code = main(["expand", "--dsl", text])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
 def test_unknown_symmetric_kind_exits_three_on_a_zero_expansion(tmp_path, capsys):
     path = tmp_path / "zero.json"  # a solid cycle: no colouring, expansion 0
     path.write_text('{"n":3,"edges":[[0,1,"leq"],[1,2,"leq"],[2,0,"leq"],[0,2,"neq"]]}')
