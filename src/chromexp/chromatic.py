@@ -6,6 +6,7 @@ functions as adapters."""
 from __future__ import annotations
 
 import time
+from math import comb
 
 from . import graph as gr
 from .combinat import composition
@@ -37,13 +38,24 @@ class LevelDP:
     solid predecessor of the block is already placed, and every double
     predecessor is placed or in the block. The move records the block,
     the number of edges it receives from the placed classes (the
-    ascents it adds) and its total weight. The moves of a state are
-    computed once per instance.
+    ascents it adds), its total weight and the number of ways it stands
+    for. The moves of a state are computed once per instance.
+
+    With `twins`, classes that are false twins form a group (see
+    _twin_groups). Twins are interchangeable in every colouring, so the
+    walk keeps the placed members of each group a prefix of the group,
+    in class order: a state records how many of each group are placed,
+    and the states number the product of (group size + 1) over the
+    groups. A move takes the next j of the u unplaced members of a group
+    and stands for the C(u, j) ways to choose them; a block that takes
+    from several groups stands for the product. Otherwise every class is
+    a group of its own and every move stands for one way.
     """
 
-    __slots__ = ("full", "moves_of", "_clash", "_below", "_weak", "_into", "_weights")
+    __slots__ = ("full", "moves_of", "_groups", "_clash", "_below", "_weak", "_into",
+                 "_weights")
 
-    def __init__(self, con: Contraction):
+    def __init__(self, con: Contraction, twins: bool = False):
         s = len(con.classes)
         self.full = (1 << s) - 1
         self.moves_of: dict[int, list] = {}
@@ -61,27 +73,48 @@ class LevelDP:
                 self._clash[cj] |= 1 << ci
                 if kind is LT:
                     self._below[cj] |= 1 << ci
+        # each group as its first member and the bitmask of its members
+        self._groups = [(v, 1 << v) for v in range(s)]
+        if twins and s > 1:  # twins share their weight and their rules
+            keys = list(zip(con.weights, self._below, self._clash, self._weak,
+                            map(len, self._into)))
+            if len(set(keys)) < s:
+                self._groups = _twin_groups(con, keys)
 
     def moves(self, placed: int) -> list:
-        """(block, ascents, weight) for every move out of the state."""
+        """(block, ascents, weight, ways) for every move out of the state."""
         got = self.moves_of.get(placed)
         if got is None:
             got = self.moves_of[placed] = self._moves(placed)
         return got
 
     def _moves(self, placed: int) -> list:
-        # grow every clash-free block over the candidates in index order,
-        # carrying (block, ascents, weight, clashes, double predecessors)
-        blocks = [(0, 0, 0, 0, 0)]
-        for v, weight in enumerate(self._weights):
-            bit = 1 << v
-            if placed & bit or self._below[v] & ~placed:
+        # grow every clash-free block over the groups in order, carrying
+        # (block, ascents, weight, clashes, double predecessors, ways);
+        # twins share every edge, so the first member speaks for all
+        blocks = [(0, 0, 0, 0, 0, 1)]
+        for v, members in self._groups:
+            free = members & ~placed  # the unplaced members: the last ones
+            if not free or self._below[v] & ~placed:
                 continue
             up = sum(placed >> u & 1 for u in self._into[v])
-            clash, weak = self._clash[v], self._weak[v]
-            blocks += [(b | bit, a + up, w + weight, c | clash, k | weak)
-                       for b, a, w, c, k in blocks if not c & bit]
-        return [(b, a, w) for b, a, w, _, k in blocks
+            weight, clash, weak = self._weights[v], self._clash[v], self._weak[v]
+            if not free & (free - 1):  # one member left
+                blocks += [(b | free, a + up, w + weight, c | clash, k | weak, n)
+                           for b, a, w, c, k, n in blocks if not c & free]
+                continue
+            # take the next j members for j = 1, 2, ... (no twin clashes
+            # with another, so one member tests the clashes of all)
+            fits = [block for block in blocks if not block[3] & free]
+            unplaced, taken, j = free.bit_count(), 0, 0
+            while free:
+                taken |= free & -free
+                free &= free - 1
+                j += 1
+                ways = comb(unplaced, j)
+                blocks += [(b | taken, a + j * up, w + j * weight, c | clash, k | weak, n * ways)
+                           for b, a, w, c, k, n in fits]
+        return [(b, a, w, n) for b, a, w, _, k, n in blocks
                 if b and not k & ~(placed | b)]
 
     def record(self, stats: dict, terms: int, start: float) -> None:
@@ -93,6 +126,34 @@ class LevelDP:
                      terms=terms, seconds=time.perf_counter() - start)
 
 
+def _twin_groups(con: Contraction, keys: list) -> list:
+    """The classes of a contraction grouped into false twins: classes of
+    equal weight with the same edges in and out, colour for colour and
+    counted with multiplicity. No edge joins two twins, since a class
+    has no edge to itself. keys[c] is a value that every twin of class c
+    shares, so only classes of equal key are compared edge by edge.
+    Each group is (its least class, the bitmask of its members), in
+    order of the least class."""
+    shared: dict = {}
+    for key in keys:
+        shared[key] = key in shared  # true once a second class has the key
+    compare = [shared[key] for key in keys]
+    ins = [[] for _ in keys]
+    outs = [[] for _ in keys]
+    for ci, cj, kind in con.edges:
+        code = 2 if kind is LEQ else kind is LT  # not hashed: see graph.edge_constraint
+        if compare[cj]:
+            ins[cj].append(3 * ci + code)
+        if compare[ci]:
+            outs[ci].append(3 * cj + code)
+    groups: dict = {}
+    for c, key in enumerate(keys):
+        ins[c].sort()
+        outs[c].sort()
+        groups.setdefault((key, tuple(ins[c]), tuple(outs[c])), [c, 0])[1] |= 1 << c
+    return list(groups.values())
+
+
 def expand(g: EdgeColouredDigraph, stats: dict | None = None) -> QSymExpr:
     """The exact monomial expansion of the digraph's colouring sum.
 
@@ -101,20 +162,22 @@ def expand(g: EdgeColouredDigraph, stats: dict | None = None) -> QSymExpr:
     zero. Otherwise every way to colour the classes level by level (see
     LevelDP) adds t^asc to the coefficient of the composition of level
     weights, where asc counts the original edges rising between levels.
-    The sum is memoized on the set of placed classes, so the cost grows
-    with the states and moves, not with the colourings.
+    The sum is memoized on the state, which counts the placed classes of
+    each group of false twins, so the cost grows with the states and
+    moves, not with the colourings: a move that places j of the u
+    unplaced twins of a group stands for its C(u, j) choices.
 
     When `stats` is a dict it is filled by LevelDP.record.
     """
     start = time.perf_counter() if stats is not None else 0.0
     con = contract(g)
-    dp = LevelDP(con)
+    dp = LevelDP(con, twins=True)
     # compute the moves of every state reachable from the start
     stack = [0] if con.feasible and dp.full else []
     seen = {0, dp.full}
     while stack:
         placed = stack.pop()
-        for block, _, _ in dp.moves(placed):
+        for block, _, _, _ in dp.moves(placed):
             reached = placed | block
             if reached not in seen:
                 seen.add(reached)
@@ -124,22 +187,29 @@ def expand(g: EdgeColouredDigraph, stats: dict | None = None) -> QSymExpr:
     states = sorted(dp.moves_of, key=int.bit_count, reverse=True)
     # t-polynomials with nonnegative coefficients, packed into one int:
     # t^k sits at bit k * width, and no coefficient overflows its digit
-    # because none exceeds the number of paths of moves from the start
+    # because none exceeds the number of colourings, the paths of moves
+    # from the start each counted by its ways
     paths = {dp.full: 1}
     for placed in states:
-        paths[placed] = sum([paths[placed | block] for block, _, _ in dp.moves_of[placed]])
+        paths[placed] = sum([ways * paths[placed | block]
+                             for block, _, _, ways in dp.moves_of[placed]])
     width = paths.get(0, 0).bit_length() or 1
     memo = {dp.full: {(): 1}}
     for placed in states:
         # sum the suffixes under each first part before prepending it
         by_weight: dict = {}
-        for block, up, weight in dp.moves_of[placed]:
+        for block, up, weight, ways in dp.moves_of[placed]:
             shift = up * width
             acc = by_weight.get(weight)
             if acc is None:
                 acc = by_weight[weight] = {}
-            for comp, packed in memo[placed | block].items():
-                acc[comp] = acc.get(comp, 0) + (packed << shift)
+            suffix = memo[placed | block].items()
+            if ways == 1:  # the common case: spare each big int a copy by * 1
+                for comp, packed in suffix:
+                    acc[comp] = acc.get(comp, 0) + (packed << shift)
+            else:
+                for comp, packed in suffix:
+                    acc[comp] = acc.get(comp, 0) + (packed * ways << shift)
         memo[placed] = {(weight,) + comp: packed
                         for weight, acc in by_weight.items()
                         for comp, packed in acc.items()}
@@ -189,7 +259,7 @@ def chromatic_number(g: EdgeColouredDigraph):
             return k
         k += 1
         reached = {placed | block for placed in frontier
-                   for block, _, _ in dp.moves(placed)}
+                   for block, _, _, _ in dp.moves(placed)}
         frontier = reached - seen
         seen |= frontier
     return None

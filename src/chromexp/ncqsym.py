@@ -126,7 +126,7 @@ def expand_nc(lg: LabelledDigraph, stats: dict | None = None) -> NCQSymExpr:
                 power = powers[asc] = TPoly.t_power(asc)
             terms[prefix] = power
             continue
-        for block, up, _ in reversed(dp.moves(placed)):
+        for block, up, _, _ in reversed(dp.moves(placed)):
             labels = block_labels.get(block)
             if labels is None:
                 labels = block_labels[block] = tuple(sorted(

@@ -4,8 +4,9 @@ Each is a plain statement of a definition from the paper's combinatorics
 that some test checks live code against: `corrupts` checks
 `reformations`, `dominance_leq` checks the order of `partitions`,
 `standardize_word` and `permutation_inverse` check `mr_F`'s fibres,
-`relabel` builds the relabellings that `symmetrize` must sum, and
-`fold_rho` checks `rho`'s grouped sums. No program path reads them, so
+`relabel` builds the relabellings that `symmetrize` must sum,
+`fold_rho` checks `rho`'s grouped sums, and `subset_expand` checks
+`expand`'s twin groups. No program path reads them, so
 they live here rather than in `chromexp`. pytest does not collect this
 module: its name does not match test_*.py.
 """
@@ -22,9 +23,9 @@ from chromexp.combinat import (
     set_composition_sort_key,
     shape,
 )
-from chromexp.graph import LabelledDigraph
+from chromexp.graph import LEQ, LT, LabelledDigraph, contract
 from chromexp.qsym import QSymExpr, _merge
-from chromexp.tpoly import tpoly_to_json
+from chromexp.tpoly import TPoly, tpoly_to_json
 
 # ---------------------------------------------------------------------------
 # compositions and partitions
@@ -183,3 +184,66 @@ def relabel(lg: LabelledDigraph, sigma) -> LabelledDigraph:
     if not isinstance(sigma, dict):
         sigma = {i + 1: v for i, v in enumerate(sigma)}
     return LabelledDigraph(lg.graph, tuple(sigma[l] for l in lg.labels))
+
+
+def subset_expand(g) -> QSymExpr:
+    """expand as a DP over every subset of the contraction's classes,
+    with no twin groups: a state is the set of placed classes, and a
+    move places any allowed nonempty block of unplaced classes as the
+    next level (the rules of chromatic.LevelDP), so a state is reached
+    once for each order in which twins can be placed."""
+    con = contract(g)
+    s = len(con.classes)
+    full = (1 << s) - 1
+    clash, below, weak = [0] * s, [0] * s, [0] * s
+    into = [[] for _ in range(s)]
+    for ci, cj, kind in con.edges:
+        into[cj].append(ci)
+        if kind is LEQ:
+            weak[cj] |= 1 << ci
+        else:
+            clash[ci] |= 1 << cj
+            clash[cj] |= 1 << ci
+            if kind is LT:
+                below[cj] |= 1 << ci
+
+    def moves(placed):
+        blocks = [(0, 0, 0, 0, 0)]
+        for v, weight in enumerate(con.weights):
+            bit = 1 << v
+            if placed & bit or below[v] & ~placed:
+                continue
+            up = sum(placed >> u & 1 for u in into[v])
+            blocks += [(b | bit, a + up, w + weight, c | clash[v], k | weak[v])
+                       for b, a, w, c, k in blocks if not c & bit]
+        return [(b, a, w) for b, a, w, _, k in blocks if b and not k & ~(placed | b)]
+
+    moves_of = {}
+    stack = [0] if con.feasible and full else []
+    while stack:
+        placed = stack.pop()
+        if placed not in moves_of:
+            moves_of[placed] = moves(placed)
+            stack += [placed | b for b, _, _ in moves_of[placed] if placed | b != full]
+    states = sorted(moves_of, key=int.bit_count, reverse=True)
+    # t-polynomials packed into one int, t^k at bit k * width: no
+    # coefficient exceeds the number of paths of moves from the start
+    paths = {full: 1}
+    for placed in states:
+        paths[placed] = sum(paths[placed | b] for b, _, _ in moves_of[placed])
+    width = paths.get(0, 0).bit_length() or 1
+    memo = {full: {(): 1}}
+    for placed in states:
+        memo[placed] = out = {}
+        for b, up, weight in moves_of[placed]:
+            for comp, packed in memo[placed | b].items():
+                key = (weight,) + comp
+                out[key] = out.get(key, 0) + (packed << up * width)
+    terms = {}
+    for comp, packed in (memo[0] if con.feasible else {}).items():
+        coeffs = []
+        while packed:
+            coeffs.append(packed & ((1 << width) - 1))
+            packed >>= width
+        terms[comp] = TPoly(coeffs)
+    return QSymExpr(terms)

@@ -176,8 +176,8 @@ def test_expand_stats_count_the_dp():
     stats = {}
     f = expand(make(3), stats)
     assert stats["classes"] == 3
-    assert stats["states"] == 7          # every proper subset of three classes
-    assert stats["transitions"] == 19    # nonempty subsets of each complement
+    assert stats["states"] == 3          # 0, 1 or 2 of the three twins placed
+    assert stats["transitions"] == 6     # from k placed, take 1 to 3 - k more
     assert stats["terms"] == len(f.terms) == 4
     assert stats["seconds"] >= 0
     infeasible = {}

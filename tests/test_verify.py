@@ -1,5 +1,6 @@
 import itertools
 import random
+import types
 
 import pytest
 
@@ -26,6 +27,44 @@ def test_random_digraphs_are_seed_deterministic():
     la = random_labelled_digraph(random.Random(7), 4)
     lb = random_labelled_digraph(random.Random(7), 4)
     assert la == lb
+
+
+SEEDED = {
+    "oracle": lambda seed: verify_oracle(trials=8, max_n=4, seed=seed),
+    "hopf": lambda seed: verify_hopf(trials=2, max_n=3, seed=seed),
+    "r-closure": lambda seed: verify_r_closure(n_qsym=1, n_nc=2, r=2, seed=seed, trials=4),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SEEDED))
+def test_seeded_suites_draw_from_their_seed(monkeypatch, suite):
+    """Every random number a seeded suite draws comes from the generator
+    of its seed: one seed draws the same numbers twice, and another seed
+    draws others. A suite that drew from a fixed or unseeded generator
+    would still pass its own checks."""
+    draws = []
+
+    class Recording(random.Random):
+        def random(self):
+            x = super().random()
+            draws[-1].append(x)
+            return x
+
+        def getrandbits(self, k):
+            x = super().getrandbits(k)
+            draws[-1].append(x)
+            return x
+
+    monkeypatch.setattr(verify, "random", types.SimpleNamespace(Random=Recording))
+
+    def drawn(seed):
+        draws.append([])
+        assert SEEDED[suite](seed).ok
+        return draws[-1]
+
+    first = drawn(1)
+    assert first and drawn(1) == first
+    assert drawn(2) != first
 
 
 def test_suite_registry():
