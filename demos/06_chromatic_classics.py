@@ -17,7 +17,8 @@ from chromexp.chromatic import (
     shareshian_wachs,
     stanley,
 )
-from chromexp.graph import make, underlying_graph
+from chromexp.graph import from_graph, make, underlying_graph
+from chromexp.oracle import count_colourings
 from chromexp.qsym import chromatic_polynomial, evaluate_ones, to_sym_basis
 
 path = simple_graph(3, [(0, 1), (1, 2)])
@@ -28,6 +29,10 @@ print("in the elementary basis:",
 poly = chromatic_polynomial(f)
 print("counting polynomial:", poly.pretty())
 print("values:", [poly(p) for p in range(5)], "=", [evaluate_ones(f, p) for p in range(5)])
+# the same values by listing the proper colourings with p colours one by one
+counts = [count_colourings(from_graph(path), p) for p in range(5)]
+print("colourings counted one by one:", counts,
+      "[ok]" if counts == [poly(p) for p in range(5)] else "[MISMATCH]")
 print()
 
 edge = simple_graph(2, [(0, 1)])

@@ -48,7 +48,7 @@ def _emit(data, to_json=None) -> None:
     document, or a value that to_json turns into one. A bare
     {"terms": rows} document (a tensor's) goes through the row writer
     _dumps_terms, and any other through _dumps, which writes each
-    QSymExpr or NCQSymExpr in it from its term map.
+    QSymExpr or NCQSymExpr in it (see _write_expansion).
 
     A stream that encodes (one with a byte layer, as the real stdout)
     gets the text _WRITE_SLICE characters at a time. Its text layer
@@ -117,10 +117,15 @@ def _expansion_texts(pad) -> tuple:
             _Texts(lambda coeff: _list_text(tpoly_to_json(coeff), fields)))
 
 
-def _write_expansion(f, pad, pieces: list, memos: dict) -> None:
+def _write_expansion(f, pad, pieces: list, memos: dict) -> bool:
     """Append to pieces the text that json.dumps(..., indent=2) gives
     qsym_to_json(f) or ncqsym_to_json(f) starting on a line indented by
-    pad, read from f's term map in f._sorted order.
+    pad, read from f's term map in f._sorted order, and return True.
+
+    Its one layout is rows, for a nonempty f without the key () and, if
+    f is a QSymExpr, of one degree: every expansion that bases, balanced
+    and nc expand and product write in bulk. For no terms, the key () or
+    several degrees it appends nothing and returns False.
 
     memos is a _Texts of _expansion_texts, shared by the expansions of
     one document, so the text of each distinct block, composition and
@@ -128,43 +133,28 @@ def _write_expansion(f, pad, pieces: list, memos: dict) -> None:
     shared texts and fixed separators to pieces: a row is never a string
     of its own, and the caller joins the document once.
     """
+    terms = f.terms
+    nc = type(f) is NCQSymExpr
+    degrees = () if nc else f.degrees()
+    if not terms or () in terms or len(degrees) > 1:
+        return False
     compositions, first, later, coeffs = memos[pad]
     head = pad + "  "
     rows = head + "  "
     fields = rows + "  "
     append = pieces.append
-    terms = f.terms
-    if type(f) is NCQSymExpr:
-        append("{" + head + '"terms": ')
-    else:
-        degrees = f.degrees()
-        if len(degrees) > 1:
-            sep = "{" + head + '"components": [' + rows
-            for n in degrees:
-                append(sep)
-                _write_expansion(f.homogeneous_component(n), rows, pieces, memos)
-                sep = "," + rows
-            append(head + "]" + pad + "}")
-            return
-        append("{" + head + f'"degree": {degrees[0] if degrees else 0},' + head + '"terms": ')
-    if not terms:
-        append("[]" + pad + "}")
-        return
+    append("{" + head + ("" if nc else f'"degree": {degrees[0]},' + head) + '"terms": ')
     close = rows + "},"  # ends the row before: the first row's is cut to "["
     start = len(pieces)
-    if type(f) is NCQSymExpr:
+    if nc:
         row = close + rows + "{" + fields + '"set_composition": ['
-        empty_row = row + "]," + fields + '"coeff_t": '  # the key () of degree 0
         coeff_field = fields + "]," + fields + '"coeff_t": '
         extend, later_text = pieces.extend, later.__getitem__
         for phi in f._sorted(terms):
-            if phi:
-                append(row)
-                append(first[phi[0]])
-                extend(map(later_text, phi[1:]))
-                append(coeff_field)
-            else:
-                append(empty_row)
+            append(row)
+            append(first[phi[0]])
+            extend(map(later_text, phi[1:]))
+            append(coeff_field)
             append(coeffs[terms[phi]])
     else:
         row = close + rows + "{" + fields + '"composition": '
@@ -176,6 +166,7 @@ def _write_expansion(f, pad, pieces: list, memos: dict) -> None:
             append(coeffs[terms[alpha]])
     pieces[start] = "[" + pieces[start][len(close):]
     append(rows + "}" + head + "]" + pad + "}")
+    return True
 
 
 def _dumps(data) -> str:
@@ -187,11 +178,12 @@ def _dumps(data) -> str:
     container. This writer renders a flat list of ints and strs in one
     step, and each list of ints once per call: blocks and coefficients
     repeat across thousands of terms. Dicts with str keys and other
-    nonempty lists recurse, and an expansion is laid out from its term
-    map by _write_expansion, with no document built. Other containers go
-    to json.dumps with the indent, re-indented to their depth (JSON text
-    has no raw newline in a string), and scalars to json.dumps without
-    it: the same text. The text is joined once.
+    nonempty lists recurse. An expansion goes to _write_expansion, and
+    one of a shape it does not lay out is replaced by its builder's
+    document in this walk. Other containers go to json.dumps with the
+    indent, re-indented to their depth (JSON text has no raw newline in
+    a string), and scalars to json.dumps without it: the same text. The
+    text is joined once.
     """
     chunks = []
     append = chunks.append
@@ -232,7 +224,9 @@ def _dumps(data) -> str:
                 sep = "," + inner
             append(pad + "]")
         elif kind is QSymExpr or kind is NCQSymExpr:
-            _write_expansion(value, pad, chunks, memos)
+            if not _write_expansion(value, pad, chunks, memos):
+                write(qsym.qsym_to_json(value) if kind is QSymExpr
+                      else ncqsym.ncqsym_to_json(value), pad)
         elif isinstance(value, (dict, list, tuple)):
             append(json.dumps(value, indent=2).replace("\n", pad))
         else:
@@ -481,6 +475,12 @@ def _given(**flags) -> dict:
 
 def _cmd_verify(args) -> int:
     suite, n = args.suite, args.n
+    # the value flags besides --n that the suite reads
+    reads = {"tables": (), "r-closure": ("seed", "trials", "r")}.get(suite, ("seed", "trials"))
+    unread = [f"--{name}" for name in ("seed", "trials", "r")
+              if getattr(args, name) is not None and name not in reads]
+    if unread:
+        raise ValueError(f"--suite {suite} does not read {', '.join(unread)}")
     if args.trials is not None and args.trials < 0:
         raise ValueError(f"--trials must be nonnegative, got {args.trials}")
     if n is not None and n < 1:

@@ -366,7 +366,10 @@ class Contraction:
 
 
 def contract(g: EdgeColouredDigraph) -> Contraction:
-    comps = _sccs(g.n, [(u, v) for u, v, c in g.edges if c is LEQ])
+    double = [(u, v) for u, v, c in g.edges if c is LEQ]
+    if not double:  # classes of one vertex each, and every edge between two
+        return Contraction(tuple((v,) for v in range(g.n)), (1,) * g.n, True, tuple(g.edge_list()))
+    comps = _sccs(g.n, double)
     comps.sort(key=min)
     class_of = [0] * g.n
     for i, comp in enumerate(comps):

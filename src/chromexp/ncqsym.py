@@ -92,9 +92,6 @@ class NCQSymTensor(TensorMap, leg=NCQSymExpr):
     __mul__ = TensorMap.__mul__
 
 
-tensor_nc = NCQSymTensor.of_legs
-
-
 # ---------------------------------------------------------------------------
 # the labelled expansion and the commutation map
 
@@ -378,20 +375,16 @@ def ncqsym_to_json(f: NCQSymExpr) -> dict:
     """The terms of f in sort order: each set composition as a list of
     blocks, with its coefficient's list of powers of t.
 
-    The terms share one list per distinct block and one coeff_t list
-    per distinct coefficient, so the returned lists are read-only. The
-    CLI writes an expansion's text in its expand, product, bases and
-    balanced outputs from the term map itself (cli._write_expansion);
-    this document nests inside the mr output, and is the reference for
-    that text.
+    This lays out every shape of f, with plain lists: no terms, the key
+    () (as an empty list) and several degrees in one term list. The CLI
+    writes a nonempty f without the key () from its term map
+    (cli._write_expansion), whose text this document is the reference
+    for, and writes this document for the other shapes and inside the mr
+    output.
     """
-    blocks, coeffs, terms = {}, {}, []
-    for phi, coeff in f.items_sorted():
-        coeff_t = coeffs.get(coeff)
-        if coeff_t is None:
-            coeff_t = coeffs[coeff] = tpoly_to_json(coeff)
-        terms.append({"set_composition": _block_lists(phi, blocks), "coeff_t": coeff_t})
-    return {"terms": terms}
+    return {"terms": [{"set_composition": [list(b) for b in phi],
+                       "coeff_t": tpoly_to_json(coeff)}
+                      for phi, coeff in f.items_sorted()]}
 
 
 def _block_lists(phi, blocks: dict) -> list:

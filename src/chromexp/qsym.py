@@ -357,9 +357,6 @@ class QSymTensor(TensorMap, leg=QSymExpr):
     __mul__ = TensorMap.__mul__
 
 
-tensor = QSymTensor.of_legs
-
-
 def _coproduct(f: TermMap, tensor_cls):
     """The coproduct of f into tensor_cls: every (left, right) split of
     a key carries that key's coefficient. The keys share one memo of

@@ -5,8 +5,9 @@ that some test checks live code against: `corrupts` checks
 `reformations`, `dominance_leq` checks the order of `partitions`,
 `standardize_word` and `permutation_inverse` check `mr_F`'s fibres,
 `relabel` builds the relabellings that `symmetrize` must sum,
-`fold_rho` checks `rho`'s grouped sums, and `subset_expand` checks
-`expand`'s twin groups. No program path reads them, so
+`fold_rho` checks `rho`'s grouped sums, `mutual_reachability_contract`
+checks `contract`, and `subset_expand` checks `expand`'s twin groups.
+No program path reads them, so
 they live here rather than in `chromexp`. pytest does not collect this
 module: its name does not match test_*.py.
 """
@@ -23,7 +24,7 @@ from chromexp.combinat import (
     set_composition_sort_key,
     shape,
 )
-from chromexp.graph import LEQ, LT, LabelledDigraph, contract
+from chromexp.graph import LEQ, LT, Contraction, LabelledDigraph, contract
 from chromexp.qsym import QSymExpr, _merge
 from chromexp.tpoly import TPoly, tpoly_to_json
 
@@ -184,6 +185,29 @@ def relabel(lg: LabelledDigraph, sigma) -> LabelledDigraph:
     if not isinstance(sigma, dict):
         sigma = {i + 1: v for i, v in enumerate(sigma)}
     return LabelledDigraph(lg.graph, tuple(sigma[l] for l in lg.labels))
+
+
+def mutual_reachability_contract(g) -> Contraction:
+    """contract by its definition: two vertices share a class when each
+    reaches the other along double edges, read off the transitive
+    closure of the double edges (Warshall)."""
+    reach = [{v} for v in range(g.n)]
+    for u, v, kind in g.edges:
+        if kind is LEQ:
+            reach[u].add(v)
+    for k in range(g.n):
+        for u in range(g.n):
+            if k in reach[u]:
+                reach[u] |= reach[k]
+    classes = sorted({tuple(sorted(w for w in reach[v] if v in reach[w])) for v in range(g.n)})
+    class_of = {v: i for i, members in enumerate(classes) for v in members}
+    edges = sorted(g.edges, key=lambda e: (e[0], e[1]))
+    return Contraction(
+        classes=tuple(classes),
+        weights=tuple(map(len, classes)),
+        feasible=all(kind is LEQ for u, v, kind in edges if class_of[u] == class_of[v]),
+        edges=tuple((class_of[u], class_of[v], kind) for u, v, kind in edges
+                    if class_of[u] != class_of[v]))
 
 
 def subset_expand(g) -> QSymExpr:

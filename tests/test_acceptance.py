@@ -27,7 +27,7 @@ from chromexp.ncqsym import (
     to_ncsym_m,
 )
 from chromexp.oracle import count_colourings
-from chromexp.qsym import QSymExpr, chromatic_polynomial, tensor
+from chromexp.qsym import QSymExpr, QSymTensor, chromatic_polynomial
 from chromexp.tpoly import TPoly
 from chromexp.verify import (
     verify_hopf,
@@ -127,16 +127,16 @@ def test_criterion_04_coproduct_of_the_four_vertex_example():
 
         one = QSymExpr.one()
         whole = x(4, [(0, 1, "leq"), (1, 3, "neq"), (0, 2, "lt")])
-        want = (tensor(one, whole)
-                + tensor(x(1), x(3, [(0, 1, "leq"), (0, 2, "lt")]))
-                + tensor(x(1), x(3, [(0, 2, "neq")]))
-                + tensor(x(2, [(0, 1, "lt")]), x(2, [(0, 1, "neq")]))
-                + tensor(x(2), x(2))
-                + tensor(x(2, [(0, 1, "leq")]), x(2))
-                + tensor(x(3, [(0, 1, "lt")]), x(1))
-                + tensor(x(3, [(0, 1, "leq"), (1, 2, "neq")]), x(1))
-                + tensor(x(3, [(0, 1, "leq"), (0, 2, "lt")]), x(1))
-                + tensor(whole, one))
+        want = (QSymTensor.of_legs(one, whole)
+                + QSymTensor.of_legs(x(1), x(3, [(0, 1, "leq"), (0, 2, "lt")]))
+                + QSymTensor.of_legs(x(1), x(3, [(0, 2, "neq")]))
+                + QSymTensor.of_legs(x(2, [(0, 1, "lt")]), x(2, [(0, 1, "neq")]))
+                + QSymTensor.of_legs(x(2), x(2))
+                + QSymTensor.of_legs(x(2, [(0, 1, "leq")]), x(2))
+                + QSymTensor.of_legs(x(3, [(0, 1, "lt")]), x(1))
+                + QSymTensor.of_legs(x(3, [(0, 1, "leq"), (1, 2, "neq")]), x(1))
+                + QSymTensor.of_legs(x(3, [(0, 1, "leq"), (0, 2, "lt")]), x(1))
+                + QSymTensor.of_legs(whole, one))
         assert got == want
         # and the digraph side agrees with deconcatenation
         from chromexp.qsym import coproduct

@@ -21,10 +21,10 @@ from hypothesis import given, settings, strategies as st
 from chromexp import combinat, graph as gr
 from chromexp.chromatic import expand
 from chromexp.combinat import _quasi_shuffles, _shifted_quasi_shuffle, quasi_shuffle
-from chromexp.ncqsym import NCQSymExpr, NCQSymTensor, coproduct_nc, expand_nc, tensor_nc
+from chromexp.ncqsym import NCQSymExpr, NCQSymTensor, coproduct_nc, expand_nc
 from chromexp.qsym import (
     QSymExpr, QSymTensor, RationalPoly, _fraction_or_int, _merge, chromatic_polynomial,
-    coproduct, tensor)
+    coproduct)
 from chromexp.tpoly import TPoly, evaluate
 from chromexp.verify import random_digraph, random_labelled_digraph
 
@@ -259,11 +259,13 @@ def test_products_match_the_four_earlier_bodies(seed):
     for x, z in zip(coefficient_forms(f1), coefficient_forms(f2)):
         dx, dz = coproduct(x), coproduct(z)
         assert_same(dx * dz, ref_qsym_tensor_mul(dx, dz))
-        assert_same(tensor(x, z) * dz, ref_qsym_tensor_mul(tensor(x, z), dz))
+        xz = QSymTensor.of_legs(x, z)
+        assert_same(xz * dz, ref_qsym_tensor_mul(xz, dz))
     for x, z in zip(coefficient_forms(y1), coefficient_forms(y2)):
         dx, dz = coproduct_nc(x), coproduct_nc(z)
         assert_same(dx * dz, ref_nc_tensor_mul(dx, dz))
-        assert_same(tensor_nc(x, z) * dz, ref_nc_tensor_mul(tensor_nc(x, z), dz))
+        xz = NCQSymTensor.of_legs(x, z)
+        assert_same(xz * dz, ref_nc_tensor_mul(xz, dz))
 
 
 @settings(max_examples=40, deadline=None)
@@ -388,9 +390,10 @@ def assert_same_in_order(x, y):
 @given(SEEDS)
 def test_tensor_products_match_the_pair_groups_body_in_order(seed):
     f1, f2, f, y1, y2, y = expansions(seed)
-    for a, b, delta, of_legs in [(f1, f2, coproduct, tensor), (f, f1, coproduct, tensor),
-                                 (y1, y2, coproduct_nc, tensor_nc),
-                                 (y, y1, coproduct_nc, tensor_nc)]:
+    for a, b, delta, of_legs in [(f1, f2, coproduct, QSymTensor.of_legs),
+                                 (f, f1, coproduct, QSymTensor.of_legs),
+                                 (y1, y2, coproduct_nc, NCQSymTensor.of_legs),
+                                 (y, y1, coproduct_nc, NCQSymTensor.of_legs)]:
         for x, z in zip(coefficient_forms(a), coefficient_forms(b)):
             dx, dz = delta(x), delta(z)
             for s, t in [(dx, dz), (dz, dx), (dx - dz, dx + dz), (of_legs(x, z), dz)]:

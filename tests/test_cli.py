@@ -208,6 +208,19 @@ def test_verify_flags_reach_the_suite_by_name(suite, flags, kwargs, monkeypatch,
     assert recorded_suite_calls(monkeypatch, capsys, suite, *flags) == [kwargs]
 
 
+@pytest.mark.parametrize("suite, flag", [
+    ("tables", ("--seed", "7")), ("tables", ("--trials", "2")), ("tables", ("--r", "3")),
+    ("oracle", ("--r", "3")), ("hopf", ("--r", "inf")),
+], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_verify_refuses_a_flag_its_suite_does_not_read(suite, flag, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(verify_mod, SUITE_FUNCTIONS[suite], lambda **kwargs: calls.append(kwargs))
+    code = main(["verify", "--suite", suite, "--n", "3", *flag])
+    captured = capsys.readouterr()
+    assert (code, captured.out, calls) == (3, "", [])
+    assert captured.err == f"error: --suite {suite} does not read {flag[0]}\n"
+
+
 def test_bases_listing(capsys):
     code, out = run(capsys, "bases", "--space", "qsym", "--n", "3", "--kind", "M")
     data = json.loads(out)

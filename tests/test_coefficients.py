@@ -18,10 +18,10 @@ from chromexp import tpoly
 from chromexp.chromatic import expand
 from chromexp.ncqsym import (
     NCQSymExpr, NCQSymTensor, coproduct_nc, expand_nc, ncqsym_from_json, ncqsym_tensor_to_json,
-    ncqsym_to_json, rho, tensor_nc, to_ncqsym_basis)
+    ncqsym_to_json, rho, to_ncqsym_basis)
 from chromexp.qsym import (
     QSymExpr, QSymTensor, coproduct, qsym_from_json, qsym_tensor_to_json, qsym_to_json,
-    tensor, to_qsym_basis)
+    to_qsym_basis)
 from chromexp.tpoly import TPoly
 from chromexp.verify import random_digraph, random_labelled_digraph
 
@@ -75,7 +75,8 @@ def test_commutative_scalars_match_wrapped_coefficients(seed):
     F, G = wrapped(f), wrapped(g)
     d, D = coproduct(f), coproduct(F)
     assert scalar_only(d)
-    for x, y in ((d, D), (tensor(f, g), tensor(F, G)), (d * coproduct(g), D * coproduct(G)),
+    for x, y in ((d, D), (QSymTensor.of_legs(f, g), QSymTensor.of_legs(F, G)),
+                 (d * coproduct(g), D * coproduct(G)),
                  (d.at_t(1), D.at_t(1)), (d.scale(T), D.scale(T))):
         same(x, y, qsym_tensor_to_json)
     for kind in ("M", "F", "Fbar"):
@@ -95,7 +96,7 @@ def test_noncommutative_scalars_match_wrapped_coefficients(seed):
     same(rho(y1 * y2), rho(Y1 * Y2), qsym_to_json)
     d, D = coproduct_nc(y1), coproduct_nc(Y1)
     assert scalar_only(d)
-    for x, y in ((d, D), (tensor_nc(y1, y2), tensor_nc(Y1, Y2)),
+    for x, y in ((d, D), (NCQSymTensor.of_legs(y1, y2), NCQSymTensor.of_legs(Y1, Y2)),
                  (d * coproduct_nc(y2), D * coproduct_nc(Y2)), (d.scale(T), D.scale(T))):
         same(x, y, ncqsym_tensor_to_json)
     for kind in ("M", "F", "Fbar"):

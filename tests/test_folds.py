@@ -39,7 +39,6 @@ from chromexp.ncqsym import (
     expand_nc,
     r_regroup,
     r_regroup_tensor,
-    tensor_nc,
     to_ncsym_m,
 )
 from chromexp.qsym import QSymExpr, _ssyt_contents, is_symmetric
@@ -258,7 +257,7 @@ def test_fibers_that_hold_and_fibers_that_break():
     for rsc in r_set_compositions(3, 2):
         m = basis_ncr("M", rsc.phi, rsc.pi, 2)
         assert outcome(r_regroup, m, 2) == ("value", [(rsc, 1)])
-        t = tensor_nc(m, m)
+        t = NCQSymTensor.of_legs(m, m)
         assert isinstance(t, NCQSymTensor)
         assert outcome(r_regroup_tensor, t, 2) == ("value", [((rsc, rsc), 1)])
         if len(m.terms) > 1:

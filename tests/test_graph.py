@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from chromexp import graph as gr
 from chromexp.chromatic import expand
 from chromexp.graph import (
     LEQ,
@@ -37,7 +38,7 @@ from chromexp.graph import (
     underlying_graph,
 )
 from chromexp.qsym import QSymExpr, basis_sym
-from reference import edges_of
+from reference import edges_of, mutual_reachability_contract
 
 TRIANGLE = make(3, [(0, 1, NEQ), (1, 2, LT), (2, 0, LEQ)])
 
@@ -240,6 +241,32 @@ def test_contract_all_dashed_gives_singletons():
     con = contract(g)
     assert con.classes == ((0,), (1,), (2,), (3,))
     assert con.feasible
+
+
+def seeded_digraphs(double: bool):
+    """Seeded digraphs of 0 to 8 vertices. With double, each also gets a
+    double-edge cycle through a random run of its vertices (when it has
+    two or more) besides its drawn double edges; without, it has none."""
+    rng = random.Random(2027 if double else 2026)
+    kinds = ("neq", "lt", "leq") if double else ("neq", "lt")
+    for n in [*range(9)] * 25:
+        edges = {(u, v): rng.choice(kinds)
+                 for u in range(n) for v in range(n) if u != v and rng.random() < 0.4}
+        if double and n >= 2:
+            cycle = rng.sample(range(n), rng.randint(2, n))
+            for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+                edges[u, v] = "leq"
+        yield make(n, [(u, v, kind) for (u, v), kind in edges.items()])
+
+
+@pytest.mark.parametrize("double", [False, True], ids=["no-double-edge", "double-edge-cycles"])
+def test_contract_matches_mutual_reachability(double, monkeypatch):
+    if not double:  # no double edge leaves every class one vertex: no SCC search
+        def no_sccs(n, arcs):
+            raise AssertionError("_sccs called on a digraph with no double edge")
+        monkeypatch.setattr(gr, "_sccs", no_sccs)
+    for g in seeded_digraphs(double):
+        assert contract(g) == mutual_reachability_contract(g), g
 
 
 def test_contract_quotient_is_idempotent():

@@ -5,7 +5,8 @@ tests/reference.py if a test checks live code against it, or nowhere.
 This guard parses src/chromexp/*.py and takes every public top-level
 function and class, and every public method of a public class. Each must
 occur as a whole word in src/ outside its own definition, in demos/, in
-bench/ or in the README.
+bench/ or in the README. The re-exports of chromexp/__init__.py do not
+count: listing a name there is not reading it.
 
 The match is by name only, so it is loose: a name counts as read
 wherever the same word occurs, whatever it refers to there. A method
@@ -41,7 +42,8 @@ def test_every_public_name_has_a_reader_outside_the_tests():
     unread = []
     for path, text in texts.items():
         lines = text.splitlines()
-        others = "\n".join(t for p, t in texts.items() if p != path)
+        # chromexp/__init__.py only re-exports: a name listed there has no reader yet
+        others = "\n".join(t for p, t in texts.items() if p != path and p.name != "__init__.py")
         for qualname, node in public_definitions(ast.parse(text)):
             start = min([node.lineno, *(d.lineno for d in node.decorator_list)]) - 1
             rest = "\n".join(lines[:start] + lines[node.end_lineno:])

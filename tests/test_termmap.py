@@ -20,8 +20,8 @@ from chromexp import combinat
 from chromexp.chromatic import expand
 from chromexp.graph import labelled
 from chromexp.ncqsym import (
-    NCQSymExpr, NCQSymTensor, _basis_nc, basis_nc, coproduct_nc, expand_nc, rho, tensor_nc)
-from chromexp.qsym import QSymExpr, QSymTensor, coproduct, tensor
+    NCQSymExpr, NCQSymTensor, _basis_nc, basis_nc, coproduct_nc, expand_nc, rho)
+from chromexp.qsym import QSymExpr, QSymTensor, coproduct
 from chromexp.tpoly import TPoly, evaluate
 from chromexp.verify import random_digraph, random_labelled_digraph
 
@@ -54,7 +54,7 @@ def test_commutative_results_pass_the_public_check(seed):
     g1, g2 = random_digraph(rng, 4, min_n=0), random_digraph(rng, 4, min_n=0)
     f1, f2 = expand(g1), expand(g2)
     d1, d2 = coproduct(f1), coproduct(f2.at_t(1))
-    results = [f1, f2, f1.homogeneous_component(g1.n), d1, d2, tensor(f1, f2)]
+    results = [f1, f2, f1.homogeneous_component(g1.n), d1, d2, QSymTensor.of_legs(f1, f2)]
     results += ring_results(f1, f2) + ring_results(d1, d2)
     for x in results:
         assert_canonical(x)
@@ -71,7 +71,7 @@ def test_noncommutative_results_pass_the_public_check(seed):
     y1, y2 = expand_nc(lg1), expand_nc(lg2)
     d1, d2 = coproduct_nc(y1), coproduct_nc(y2.at_t(1))
     results = [y1, y2, y1.homogeneous_component(lg1.graph.n), rho(y1), rho(y1 * y2),
-               d1, d2, tensor_nc(y1, y2)]
+               d1, d2, NCQSymTensor.of_legs(y1, y2)]
     results += ring_results(y1, y2) + ring_results(d1, d2)
     for x in results:
         assert_canonical(x)
@@ -160,7 +160,7 @@ def test_sum_of_equals_the_fold_of_plus(data):
 def test_sum_of_nothing_and_of_a_cancelling_pair_is_zero():
     f = QSymExpr({(1, 2): T, (3,): Fraction(1, 2)})
     y = NCQSymExpr({((1,), (2,)): 2})
-    for x in (f, y, tensor(f, f), tensor_nc(y, y)):
+    for x in (f, y, QSymTensor.of_legs(f, f), NCQSymTensor.of_legs(y, y)):
         cls = type(x)
         assert cls.sum_of([]).terms == {}
         assert cls.sum_of([x, -x]).terms == {}
@@ -183,7 +183,7 @@ def test_at_t_evaluates_each_shared_coefficient_as_term_by_term(t):
     keys = combinat.compositions(6)
     f = QSymExpr._of({alpha: rng.choice(shared) for alpha in keys})
     y = expand_nc(labelled(random_digraph(random.Random(3), 5, min_n=5)))
-    for x in (f, y, y.scale(TPoly((1, 1))), tensor(f, f)):
+    for x in (f, y, y.scale(TPoly((1, 1))), QSymTensor.of_legs(f, f)):
         got = x.at_t(t)
         assert type(got) is type(x)
         assert list(got.terms.items()) == at_t_term_by_term(x, t)
