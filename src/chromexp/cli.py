@@ -527,6 +527,11 @@ def _basis_elements(space, n, r, kind) -> list:
 
 def _cmd_bases(args) -> int:
     n, r, kind = args.n, args.r, args.kind
+    if args.space in ("qsym", "ncqsym"):
+        if r is not None:
+            raise ValueError(f"--space {args.space} does not read --r")
+    elif r is None:
+        r = 2
     if n < 0:
         raise ValueError(f"--n must be nonnegative, got {n}")
     # _emit writes a tuple index as a JSON array, and each expansion from
@@ -625,7 +630,8 @@ def build_parser() -> argparse.ArgumentParser:
     command("bases", _cmd_bases, "list basis expansions", [
         arg("--space", required=True, choices=("qsym", "ncqsym", "qsym-r", "ncqsym-r")),
         arg("--n", type=int, required=True),
-        arg("--r", type=r_value_from_json, default=2),
+        arg("--r", type=r_value_from_json,
+            help="the level of qsym-r and ncqsym-r (default 2)"),
         arg("--kind", required=True)])
     command("mr", _cmd_mr, "fundamental image of a permutation", [
         arg("permutation", help="one-line word, e.g. 836791524 or 8,3,6,...")], pretty)

@@ -6,6 +6,7 @@ to p colours."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -449,36 +450,31 @@ def _ssyt_contents(lam) -> dict[tuple[int, ...], int]:
 def _kostka(lam, mu) -> int:
     """K(lam, mu): the shapes inside lam reached after each strip, with
     the number of chains reaching each, one strip of mu at a time."""
-    shapes = {(0,) * len(lam): 1}
+    shapes = {(): 1}
     for size in mu:
         grown: dict = {}
         for nu, count in shapes.items():
-            for shape in _horizontal_strips(nu, lam, size):
+            for shape in _horizontal_strips(nu, size, lam):
                 grown[shape] = grown.get(shape, 0) + count
         shapes = grown
-    return shapes.get(lam, 0)
+    return shapes.get(tuple(lam), 0)
 
 
-def _horizontal_strips(nu, lam, size) -> list:
-    """The shapes inside lam that add a horizontal strip of `size` cells
-    to nu: row i grows to at most the old length of row i - 1."""
-    out = []
-    rows = len(nu)
-
-    def grow(i, left, shape):
-        if i == rows:
-            if not left:
-                out.append(tuple(shape))
-            return
-        top = lam[i] if i == 0 else min(lam[i], nu[i - 1])
-        for add in range(min(top - nu[i], left) + 1):
-            shape.append(nu[i] + add)
-            grow(i + 1, left - add, shape)
-            shape.pop()
-
-    grow(0, size, [])
-    del grow  # grow calls itself through this name: free the cycle now
-    return out
+def _horizontal_strips(nu, size, lam=None) -> list:
+    """The partitions that add a horizontal strip of size cells to the
+    partition nu, inside the partition lam if one is given: row i grows
+    to at most the old length of row i - 1, and one new row may start."""
+    rows = (*nu, 0)
+    rooms = [size, *(above - row for above, row in zip(rows, rows[1:]))]
+    if lam is not None:
+        rooms = [min(room, (lam[i] if i < len(lam) else 0) - row)
+                 for i, (room, row) in enumerate(zip(rooms, rows))]
+    partial = [((), size)]  # the rows grown so far, and the cells left
+    for i, row in enumerate(rows):
+        room, rest = rooms[i], sum(rooms[i + 1:])
+        partial = [(shape + (row + add,), left - add) for shape, left in partial
+                   for add in range(max(0, left - rest), min(room, left) + 1)]
+    return [shape if shape[-1] else shape[:-1] for shape, _ in partial]
 
 
 def basis_r(kind: str, beta, mu, r) -> QSymExpr:
@@ -494,12 +490,12 @@ def basis_r(kind: str, beta, mu, r) -> QSymExpr:
 # symmetry and conversion
 
 def _t_slices(terms) -> dict[int, dict]:
-    """Split a term map into per-power-of-t rational coordinate dicts."""
+    """Split a term map into per-power-of-t exact coordinate dicts."""
     slices: dict[int, dict] = {}
     for key, coeff in terms.items():
         for power, c in enumerate(tpoly.coefficients(coeff)):
             if c:
-                slices.setdefault(power, {})[key] = Fraction(c)
+                slices.setdefault(power, {})[key] = c
     return slices
 
 
@@ -512,9 +508,16 @@ def to_sym_basis(f: QSymExpr, kind: str) -> dict[tuple[int, ...], TPoly]:
     """Expand a symmetric f over the chosen symmetric basis.
 
     Returns a partition-indexed map of TPoly coefficients (entries may
-    be fractions). Raises on an unknown kind and on non-symmetric input.
-    A symmetric function is fixed by its coefficients at partitions, so
-    each degree solves the square system on the partition rows.
+    be fractions), in the order of each power of t's first occurrence in
+    f, then of partitions(n). Raises on an unknown kind and on
+    non-symmetric input. A symmetric function is fixed by its M
+    coefficients at partitions, which are its m coordinates. The s, h
+    and e coordinates follow from them by substitution through one
+    Kostka table per degree, which is unitriangular in dominance
+    (Macdonald I.6): s_lam = sum K(lam, mu) m_mu, h_mu = sum K(lam, mu)
+    s_lam, and e_mu = sum K(lam, mu) s_lam' for lam' the conjugate of
+    lam. p is only a rational basis, so each degree solves the square
+    system of its columns on the partition rows.
     """
     if kind not in SYM_KINDS:
         raise ValueError(f"unknown symmetric basis kind {kind!r}")
@@ -523,23 +526,110 @@ def to_sym_basis(f: QSymExpr, kind: str) -> dict[tuple[int, ...], TPoly]:
     out: dict[tuple[int, ...], dict[int, Fraction]] = {}
     for n in f.degrees():
         lams = list(partitions(n))
-        # a row is keyed by its partition's place in lams, an order that
-        # refines dominance, so the Schur system is triangular and its
-        # elimination makes no fill
-        row = {lam: i for i, lam in enumerate(lams)}
-        columns = [{row[k]: c for k, c in basis_sym(kind, lam).terms.items() if k in row}
-                   for lam in lams]
+        if kind == "p":
+            solve = _p_solver(n, lams)
+        else:
+            # m and maug read the partition rows as they stand
+            table = None if kind in ("m", "maug") else _kostka_table(n)
+            solve = functools.partial(_kostka_coordinates, kind, table)
         # slicing every term keeps the powers of t, and so the output's
         # order, as they first occur in f
         for power, coords in _t_slices(f.homogeneous_component(n).terms).items():
-            solution = solve_combination(
-                columns, {row[k]: c for k, c in coords.items() if k in row})
-            if solution is None:
-                raise ValueError(f"degree-{n} component is not in the {kind} span")
-            for lam, value in zip(lams, solution):
+            solution = solve({lam: coords[lam] for lam in lams if lam in coords})
+            for lam in lams:
+                value = solution.get(lam)
                 if value:
                     out.setdefault(lam, {})[power] = value
     return {lam: _tpoly_from_slices(powers) for lam, powers in out.items()}
+
+
+def _p_solver(n: int, lams: list):
+    """Coordinates over p from the partition rows: p_lam is triangular
+    on them with diagonal prod m_i!, so over the rationals only."""
+    row = {lam: i for i, lam in enumerate(lams)}
+    columns = [{row[k]: c for k, c in basis_sym("p", lam).terms.items() if k in row}
+               for lam in lams]
+
+    def solve(rows: dict) -> dict:
+        solution = solve_combination(columns, {row[lam]: c for lam, c in rows.items()})
+        if solution is None:
+            raise ValueError(f"degree-{n} component is not in the p span")
+        return dict(zip(lams, solution))
+
+    return solve
+
+
+def _kostka_coordinates(kind: str, table: dict | None, rows: dict) -> dict:
+    """The coordinates over kind (not p) of the symmetric function whose
+    M coefficients at partitions are rows, by integer substitution."""
+    if kind == "m":
+        return rows
+    if kind == "maug":
+        return {lam: Fraction(c, lambda_superfactorial(lam)) for lam, c in rows.items()}
+    # rows[mu] = sum over lam >= mu of K(lam, mu) schur[lam]: top of
+    # dominance first, each mu's column reads the lam already solved
+    schur: dict = {}
+    for mu, column in table.items():
+        value = rows.get(mu, 0)
+        for lam, k in column.items():
+            if lam in schur:
+                value -= k * schur[lam]
+        if value:
+            schur[mu] = value
+    if kind == "s":
+        return schur
+    if kind in ("e", "eaug"):
+        schur = {_conjugate(lam): c for lam, c in schur.items()}
+    # schur[lam] = sum over mu <= lam of K(lam, mu) out[mu]: bottom of
+    # dominance first, each solved mu is taken from the lam above it
+    out: dict = {}
+    for mu in reversed(table):
+        value = schur.get(mu)
+        if value:
+            out[mu] = value
+            for lam, k in table[mu].items():
+                if lam != mu:
+                    schur[lam] = schur.get(lam, 0) - k * value
+    if kind == "eaug":
+        return {lam: Fraction(c, lambda_factorial(lam)) for lam, c in out.items()}
+    return out
+
+
+def _conjugate(lam) -> tuple[int, ...]:
+    """The conjugate partition: its parts are the column lengths of lam."""
+    return tuple(sum(1 for p in lam if p > i) for i in range(lam[0] if lam else 0))
+
+
+def _kostka_table(n: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
+    """{mu: {lam: K(lam, mu)}} over the partitions of n, with mu in the
+    order of partitions(n) and only the nonzero entries, which have
+    lam >= mu in dominance.
+
+    K(lam, mu) counts the chains of horizontal strips of sizes mu_1,
+    mu_2, ... from the empty shape to lam. A depth-first walk adds one
+    part at a time, largest first, so the mu that start with the same
+    parts share the shapes grown for them, and each (shape, size) lists
+    its strips once.
+    """
+    strips: dict = {}
+    table = {}
+    stack = [((), n, {(): 1})]
+    while stack:
+        prefix, left, shapes = stack.pop()
+        if not left:
+            table[prefix] = shapes
+            continue
+        # pushed smallest first, so the largest next part pops first
+        for size in range(1, min(left, prefix[-1] if prefix else n) + 1):
+            grown: dict = {}
+            for nu, count in shapes.items():
+                key = (nu, size)
+                if key not in strips:
+                    strips[key] = _horizontal_strips(nu, size)
+                for shape in strips[key]:
+                    grown[shape] = grown.get(shape, 0) + count
+            stack.append((prefix + (size,), left - size, grown))
+    return table
 
 
 def _tpoly_from_slices(powers: dict[int, Fraction]) -> TPoly:

@@ -5,28 +5,32 @@ that some test checks live code against: `corrupts` checks
 `reformations`, `dominance_leq` checks the order of `partitions`,
 `standardize_word` and `permutation_inverse` check `mr_F`'s fibres,
 `relabel` builds the relabellings that `symmetrize` must sum,
-`fold_rho` checks `rho`'s grouped sums, `mutual_reachability_contract`
-checks `contract`, and `subset_expand` checks `expand`'s twin groups.
+`fold_rho` checks `rho`'s grouped sums, `partition_row_to_sym_basis`
+checks `to_sym_basis`, `mutual_reachability_contract` checks
+`contract`, and `subset_expand` checks `expand`'s twin groups.
 No program path reads them, so
 they live here rather than in `chromexp`. pytest does not collect this
 module: its name does not match test_*.py.
 """
 
 import itertools
+from fractions import Fraction
 
 from chromexp.combinat import (
     RSetComposition,
     corruptions,
     descent_set,
     ground_set,
+    partitions,
     reformations,
     set_composition,
     set_composition_sort_key,
     shape,
 )
 from chromexp.graph import LEQ, LT, Contraction, LabelledDigraph, contract
-from chromexp.qsym import QSymExpr, _merge
-from chromexp.tpoly import TPoly, tpoly_to_json
+from chromexp.linalg import solve_combination
+from chromexp.qsym import SYM_KINDS, QSymExpr, _merge, basis_sym, is_symmetric
+from chromexp.tpoly import TPoly, coefficients, tpoly_to_json
 
 # ---------------------------------------------------------------------------
 # compositions and partitions
@@ -169,6 +173,41 @@ def fold_rho(f) -> QSymExpr:
     for phi, coeff in f.terms.items():
         _merge(out, shape(phi), coeff)
     return QSymExpr._of(out)
+
+
+def partition_row_to_sym_basis(f: QSymExpr, kind: str) -> dict:
+    """Coordinates over a symmetric basis by one rational solve per
+    degree and power of t: the columns are the basis elements of every
+    kind, built from their definitions, on the partition rows. The
+    output keeps to_sym_basis's order: powers of t as they first occur
+    in f, then partitions(n)."""
+    if kind not in SYM_KINDS:
+        raise ValueError(f"unknown symmetric basis kind {kind!r}")
+    if not is_symmetric(f):
+        raise ValueError("expression is not symmetric")
+    out: dict = {}
+    for n in f.degrees():
+        lams = list(partitions(n))
+        row = {lam: i for i, lam in enumerate(lams)}
+        columns = [{row[k]: c for k, c in basis_sym(kind, lam).terms.items() if k in row}
+                   for lam in lams]
+        slices: dict = {}
+        for key, coeff in f.homogeneous_component(n).terms.items():
+            for power, c in enumerate(coefficients(coeff)):
+                if c:
+                    slices.setdefault(power, {})[key] = Fraction(c)
+        for power, coords in slices.items():
+            solution = solve_combination(
+                columns, {row[k]: c for k, c in coords.items() if k in row})
+            if solution is None:
+                raise ValueError(f"degree-{n} component is not in the {kind} span")
+            for lam, value in zip(lams, solution):
+                if value:
+                    out.setdefault(lam, {})[power] = value
+    return {lam: TPoly(tuple(int(v) if v.denominator == 1 else v
+                             for v in (Fraction(powers.get(k, 0))
+                                       for k in range(max(powers) + 1))))
+            for lam, powers in out.items()}
 
 
 # ---------------------------------------------------------------------------

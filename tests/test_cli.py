@@ -234,6 +234,24 @@ def test_bases_listing(capsys):
     assert len(json.loads(out)["elements"]) == 3
 
 
+@pytest.mark.parametrize("space", ["qsym", "ncqsym"])
+def test_bases_refuses_r_on_a_space_without_levels(space, capsys):
+    code = main(["bases", "--space", space, "--n", "2", "--kind", "M", "--r", "5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == f"error: --space {space} does not read --r\n"
+
+
+@pytest.mark.parametrize("space", ["qsym-r", "ncqsym-r"])
+def test_bases_reads_r_on_a_space_with_levels(space, capsys):
+    argv = ["bases", "--space", space, "--n", "3", "--kind", "M"]
+    default = run(capsys, *argv)
+    assert default == run(capsys, *argv, "--r", "2")
+    code, out = run(capsys, *argv, "--r", "1")
+    assert code == 0 and json.loads(out)["r"] == 1
+    assert out != default[1]
+
+
 def test_mr(capsys):
     code, out = run(capsys, "mr", "836791524")
     data = json.loads(out)

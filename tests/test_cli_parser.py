@@ -91,7 +91,7 @@ def reference_parser() -> argparse.ArgumentParser:
     sub.add_argument("--space", required=True,
                      choices=("qsym", "ncqsym", "qsym-r", "ncqsym-r"))
     sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--r", type=r_value_from_json, default=2)
+    sub.add_argument("--r", type=r_value_from_json)
     sub.add_argument("--kind", required=True)
     sub.set_defaults(func=cli._cmd_bases)
 

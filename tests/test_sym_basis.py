@@ -1,11 +1,15 @@
-"""Differential tests of symmetric-basis conversion on partition rows.
+"""Differential tests of symmetric-basis conversion.
 
-`to_sym_basis` solves one square system per degree and power of t on
-the partition rows, and `basis_sym("s")` counts Kostka numbers by
-chains of horizontal strips. The dense solve over every composition row
-that they replaced is kept here, and only here, as the reference, next
-to a brute-force count of semistandard fillings and the permutation
-walk with a seen-set that `distinct_rearrangements` replaced.
+`to_sym_basis` reads the m coordinates off the partition rows and the
+s, h and e coordinates by unitriangular substitution through one Kostka
+table per degree (`_kostka_table`); only p still solves a square system
+on the partition rows. Its references are the partition-row solve over
+every kind's columns (`reference.partition_row_to_sym_basis`) and the
+dense solve over every composition row that came before it, kept here.
+`basis_sym("s")` counts Kostka numbers by chains of horizontal strips,
+checked against a brute-force count of semistandard fillings, and
+`distinct_rearrangements` against the permutation walk with a seen-set
+that it replaced.
 """
 
 import itertools
@@ -15,11 +19,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chromexp import qsym
+from chromexp.chromatic import expand
 from chromexp.combinat import compositions, distinct_rearrangements, partitions
+from chromexp.graph import parse_dsl
 from chromexp.linalg import solve_combination
-from chromexp.qsym import SYM_KINDS, QSymExpr, _ssyt_contents, basis_M, basis_sym, to_sym_basis
+from chromexp.qsym import (
+    SYM_KINDS,
+    QSymExpr,
+    _kostka,
+    _kostka_table,
+    _ssyt_contents,
+    basis_M,
+    basis_sym,
+    to_sym_basis,
+)
 from chromexp.tpoly import TPoly, coefficients, evaluate
-from reference import dominance_leq, sort_to_partition
+from reference import dominance_leq, partition_row_to_sym_basis, sort_to_partition
 
 
 def ref_rearrangements(lam):
@@ -114,11 +130,96 @@ def test_coordinates_come_in_the_dense_solves_order():
     assert list(to_sym_basis(f, "m")) == [(2, 1), (3,)]
 
 
+# t-graded expansions of degree 8 (grid(4,3,1) is symmetric only at t = 1),
+# of degree 0, and of several degrees
+EXPANSIONS = {dsl: expand(parse_dsl(dsl)) for dsl in ("P(8)", "K(8)", "grid(4,3,1)", "D(P(3),P(5))")}
+EXPANSIONS["one"] = QSymExpr.one()
+EXPANSIONS["zero"] = QSymExpr()
+EXPANSIONS["K(1)+P(3)+K(4)"] = QSymExpr.sum_of(
+    expand(parse_dsl(dsl)) for dsl in ("K(1)", "P(3)", "K(4)")) + QSymExpr.one().scale(3)
+
+
+@pytest.mark.parametrize("t", [True, False], ids=["t", "t=1"])
+@pytest.mark.parametrize("name", EXPANSIONS)
+def test_substitution_matches_the_partition_row_solve_on_expansions(name, t):
+    f = EXPANSIONS[name] if t else EXPANSIONS[name].at_t(1)
+    for kind in SYM_KINDS:
+        try:
+            want = shape_of(partition_row_to_sym_basis(f, kind))
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{err}$"):
+                to_sym_basis(f, kind)
+        else:
+            assert shape_of(to_sym_basis(f, kind)) == want, kind
+
+
+DEGREE_8_TERMS = st.lists(
+    st.tuples(st.sampled_from(SYM_KINDS),
+              st.integers(7, 8).flatmap(lambda n: st.sampled_from(list(partitions(n)))),
+              COEFFS),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(TERMS, DEGREE_8_TERMS))
+def test_substitution_matches_the_partition_row_solve_on_combinations(terms):
+    f = combination(terms)
+    for kind in SYM_KINDS:
+        assert shape_of(to_sym_basis(f, kind)) == shape_of(partition_row_to_sym_basis(f, kind))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_kostka_table_matches_the_bounded_strip_count(n):
+    table = _kostka_table(n)
+    assert list(table) == list(partitions(n))
+    for mu in partitions(n):
+        assert table[mu] == {lam: k for lam in partitions(n) if (k := _kostka(lam, mu))}, mu
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_kostka_table_is_unitriangular_in_partition_order(n):
+    place = {lam: i for i, lam in enumerate(partitions(n))}
+    for mu, column in _kostka_table(n).items():
+        assert column[mu] == 1
+        assert all(place[lam] <= place[mu] and k > 0 for lam, k in column.items()), mu
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the substitution path built a column or ran a solve")
+
+
+def test_substitution_builds_no_column_and_runs_no_solve(monkeypatch):
+    inputs = [EXPANSIONS["K(8)"], EXPANSIONS["grid(4,3,1)"].at_t(1),
+              combination([("h", (3, 2, 1), Fraction(2, 3)), ("e", (4, 1), 5),
+                           ("p", (2, 2), TPoly((1, Fraction(-1, 2))))])]
+    want = {(i, kind): partition_row_to_sym_basis(f, kind)
+            for i, f in enumerate(inputs) for kind in SYM_KINDS if kind != "p"}
+    monkeypatch.setattr(qsym, "basis_sym", refuse)
+    monkeypatch.setattr(qsym, "solve_combination", refuse)
+    for (i, kind), coords in want.items():
+        assert shape_of(to_sym_basis(inputs[i], kind)) == shape_of(coords)
+
+
+def test_p_still_solves_on_the_partition_rows(monkeypatch):
+    calls = []
+
+    def counted(columns, target):
+        calls.append(len(columns))
+        return solve_combination(columns, target)
+
+    f = EXPANSIONS["K(1)+P(3)+K(4)"]
+    want = shape_of(partition_row_to_sym_basis(f, "p"))
+    monkeypatch.setattr(qsym, "solve_combination", counted)
+    assert shape_of(to_sym_basis(f, "p")) == want
+    # one solve per degree and power of t, with one column per partition
+    assert sorted(set(calls)) == [1, 3, 5]
+
+
 @pytest.mark.parametrize("n", range(11))
 def test_partitions_list_each_partition_after_all_that_dominate_it(n):
-    """to_sym_basis keys its rows by the place in partitions(n), which
-    keeps the Schur system triangular with no fill only if no partition
-    comes before one that strictly dominates it."""
+    """to_sym_basis substitutes through the Kostka table in the order of
+    partitions(n), which reads each coordinate after those it depends on
+    only if no partition comes before one that strictly dominates it."""
     lams = list(partitions(n))
     for i, j in itertools.combinations(range(len(lams)), 2):
         assert not dominance_leq(lams[i], lams[j]), (lams[i], lams[j])
