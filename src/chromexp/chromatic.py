@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import time
 from math import comb
+from operator import or_, rshift
 
 from . import graph as gr
 from .combinat import composition
@@ -50,10 +51,17 @@ class LevelDP:
     and stands for the C(u, j) ways to choose them; a block that takes
     from several groups stands for the product. Otherwise every class is
     a group of its own and every move stands for one way.
+
+    `ordered` is False exactly when the solid and double edges between
+    the classes form a cycle. Double-edge cycles are contracted, so such
+    a cycle holds a solid edge and no colouring exists. When it is True,
+    every state but the full one has a move (a class with no solid or
+    double predecessor left unplaced can form the next level), so every
+    path of moves ends at the full state.
     """
 
-    __slots__ = ("full", "moves_of", "_groups", "_clash", "_below", "_weak", "_into",
-                 "_again", "_weights")
+    __slots__ = ("full", "ordered", "moves_of", "_groups", "_clash", "_below", "_weak",
+                 "_into", "_again", "_weights")
 
     def __init__(self, con: Contraction, twins: bool = False):
         s = len(con.classes)
@@ -78,6 +86,8 @@ class LevelDP:
                 clash[cj] |= bit
                 if kind is LT:
                     below[cj] |= bit
+        # the double edges between classes alone form no cycle
+        self.ordered = not any(below) or _acyclic(list(map(or_, below, weak)))
         # each group as its first member and the bitmask of its members
         self._groups = [(v, 1 << v) for v in range(s)]
         # twins share their weight and their rules; most inputs already
@@ -131,6 +141,28 @@ class LevelDP:
                      terms=terms, seconds=time.perf_counter() - start)
 
 
+def _acyclic(preds: list) -> bool:
+    """Whether the digraph on 0..s-1 in which preds[c] is the bitmask of
+    the predecessors of c has no cycle: Kahn's peeling, where a class is
+    peeled once all its predecessors are."""
+    if not any(map(rshift, preds, range(len(preds)))):
+        return True  # every edge rises in class order, as most builders number them
+    succs = [[] for _ in preds]
+    for c, p in enumerate(preds):
+        while p:
+            low = p & -p
+            succs[low.bit_length() - 1].append(c)
+            p ^= low
+    need = [p.bit_count() for p in preds]
+    peeled = [c for c, k in enumerate(need) if not k]
+    for c in peeled:  # grows while it is read
+        for d in succs[c]:
+            need[d] -= 1
+            if not need[d]:
+                peeled.append(d)
+    return len(peeled) == len(preds)
+
+
 def _twin_groups(con: Contraction, keys: list) -> list:
     """The classes of a contraction grouped into false twins: classes of
     equal weight with the same edges in and out, colour for colour and
@@ -162,11 +194,13 @@ def _twin_groups(con: Contraction, keys: list) -> list:
 def expand(g: EdgeColouredDigraph, stats: dict | None = None) -> QSymExpr:
     """The exact monomial expansion of the digraph's colouring sum.
 
-    Vertices forced equal by double-edge cycles are contracted first; if
-    a dashed or solid edge sits inside a contraction class the result is
-    zero. Otherwise every way to colour the classes level by level (see
-    LevelDP) adds t^asc to the coefficient of the composition of level
-    weights, where asc counts the original edges rising between levels.
+    Vertices forced equal by double-edge cycles are contracted first. The
+    result is zero, with no state walked, when a dashed or solid edge
+    sits inside a contraction class or the solid and double edges
+    between the classes form a cycle (LevelDP.ordered). Otherwise every
+    way to colour the classes level by level (see LevelDP) adds t^asc to
+    the coefficient of the composition of level weights, where asc
+    counts the original edges rising between levels.
     The sum is memoized on the state, which counts the placed classes of
     each group of false twins, so the cost grows with the states and
     moves, not with the colourings: a move that places j of the u
@@ -177,8 +211,9 @@ def expand(g: EdgeColouredDigraph, stats: dict | None = None) -> QSymExpr:
     start = time.perf_counter() if stats is not None else 0.0
     con = contract(g)
     dp = LevelDP(con, twins=True)
+    colourable = con.feasible and dp.ordered
     # compute the moves of every state reachable from the start
-    stack = [0] if con.feasible and dp.full else []
+    stack = [0] if colourable and dp.full else []
     seen = {0, dp.full}
     while stack:
         placed = stack.pop()
@@ -218,7 +253,7 @@ def expand(g: EdgeColouredDigraph, stats: dict | None = None) -> QSymExpr:
                         for comp, packed in acc.items()}
 
     terms = {}
-    for comp, packed in (memo[0] if con.feasible else {}).items():
+    for comp, packed in (memo[0] if colourable else {}).items():
         coeffs = _digits(packed, width, -(-packed.bit_length() // width))
         terms[comp] = TPoly._new(tuple(coeffs))  # the top digit is nonzero
     out = QSymExpr._of(terms)
@@ -248,14 +283,16 @@ def _digits(packed: int, width: int, count: int) -> list:
 
 
 def chromatic_number(g: EdgeColouredDigraph):
-    """Least k admitting a proper colouring with k levels; None when no
-    proper colouring exists; 0 for the empty digraph."""
+    """Least k admitting a proper colouring with k levels; 0 for the
+    empty digraph. None, with no state searched, when no proper
+    colouring exists: when the contraction is infeasible or
+    LevelDP.ordered is False."""
     con = contract(g)
-    if not con.feasible:
+    dp = LevelDP(con)
+    if not (con.feasible and dp.ordered):
         return None
     # breadth first over the states: the first level count that places
     # every class is the shortest chain of moves
-    dp = LevelDP(con)
     frontier, seen, k = {0}, {0}, 0
     while frontier:
         if dp.full in frontier:

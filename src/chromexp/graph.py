@@ -128,7 +128,11 @@ def labelled(graph: EdgeColouredDigraph, labels=None) -> LabelledDigraph:
 
 
 def standardize_labels(lg: LabelledDigraph) -> LabelledDigraph:
-    """Order-preserving relabelling onto 1..n."""
+    """Order-preserving relabelling onto 1..n; lg itself when its labels
+    already are 1..n, which distinct positive labels are exactly when
+    the largest is n."""
+    if max(lg.labels, default=0) == len(lg.labels):
+        return lg
     rank = {l: i + 1 for i, l in enumerate(sorted(lg.labels))}
     return LabelledDigraph(lg.graph, tuple(rank[l] for l in lg.labels))
 
@@ -353,10 +357,12 @@ class Contraction:
 
     classes: strongly connected components of the double-edge subgraph,
     ordered by minimum vertex;  weights: class sizes;  feasible: False
-    exactly when a dashed or solid edge joins two vertices of one class
-    (no proper colouring exists);  edges: the original edges between
-    distinct classes, as (class_i, class_j, constraint) with original
-    multiplicity.
+    exactly when a dashed or solid edge joins two vertices of one class,
+    which leaves no proper colouring (a feasible contraction may still
+    have none: chromatic.LevelDP.ordered tells when the solid and double
+    edges between classes form a cycle);  edges: the original edges
+    between distinct classes, as (class_i, class_j, constraint) with
+    original multiplicity.
     """
 
     classes: tuple

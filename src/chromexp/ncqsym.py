@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from heapq import heappop, heappush
 
 from . import combinat, graph as gr
 from .chromatic import LevelDP, closed_subset_sum
@@ -102,34 +103,54 @@ def expand_nc(lg: LabelledDigraph, stats: dict | None = None) -> NCQSymExpr:
     commutative expansion (chromatic.LevelDP), walked without collapsing:
     each way to colour the classes level by level contributes t^asc to
     the set composition whose i-th block holds the labels coloured at
-    level i. When `stats` is a dict it is filled by LevelDP.record.
+    level i. The result is zero, with no state walked, when the
+    contraction is infeasible or LevelDP.ordered is False.
+
+    The walk goes forward over the states in increasing bitmask order.
+    A move only adds classes, so when the least pending state is taken,
+    every path into it has arrived: each state holds the (prefix,
+    ascents) of those paths, each move extends all of them at once, a
+    move onto the full state writes their terms, and a state's paths are
+    dropped once its moves are taken. When `stats` is a dict it is
+    filled by LevelDP.record.
     """
     start = time.perf_counter() if stats is not None else 0.0
     lg = standardize_labels(lg)
     con = contract(lg.graph)
     dp = LevelDP(con)
+    full = dp.full
     class_labels = [[lg.labels[v] for v in cls] for cls in con.classes]
-    block_labels: dict = {}  # block mask -> its sorted labels
+    block_labels: dict = {}  # block mask -> (its sorted labels,)
     powers: dict = {}        # ascents -> t^ascents
     terms: dict = {}
-
-    # depth first over the paths of moves, in the order of the moves
-    stack = [(0, (), 0)] if con.feasible else []
-    while stack:
-        placed, prefix, asc = stack.pop()
-        if placed == dp.full:
-            power = powers.get(asc)
-            if power is None:
-                power = powers[asc] = TPoly.t_power(asc)
-            terms[prefix] = power
-            continue
-        for block, up, _, _ in reversed(dp.moves(placed)):
+    pending = {0: [((), 0)]}  # state -> the (prefix, ascents) of the paths into it
+    heap = [0] if full and con.feasible and dp.ordered else []
+    if not full:  # no vertices: one colouring, with no level
+        terms[()] = TPoly.t_power(0)
+    while heap:
+        placed = heappop(heap)
+        paths = pending.pop(placed)
+        for block, up, _, _ in dp.moves(placed):
             labels = block_labels.get(block)
             if labels is None:
-                labels = block_labels[block] = tuple(sorted(
+                labels = block_labels[block] = (tuple(sorted(
                     lab for ci, labs in enumerate(class_labels) if block >> ci & 1
-                    for lab in labs))
-            stack.append((placed | block, prefix + (labels,), asc + up))
+                    for lab in labs)),)
+            reached = placed | block
+            if reached == full:
+                for prefix, asc in paths:
+                    asc += up
+                    power = powers.get(asc)
+                    if power is None:
+                        power = powers[asc] = TPoly.t_power(asc)
+                    terms[prefix + labels] = power
+                continue
+            got = pending.get(reached)
+            if got is None:
+                pending[reached] = [(prefix + labels, asc + up) for prefix, asc in paths]
+                heappush(heap, reached)
+            else:
+                got += [(prefix + labels, asc + up) for prefix, asc in paths]
     out = NCQSymExpr._of(terms)
     if stats is not None:
         dp.record(stats, len(out.terms), start)

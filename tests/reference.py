@@ -7,15 +7,18 @@ that some test checks live code against: `corrupts` checks
 `relabel` builds the relabellings that `symmetrize` must sum,
 `fold_rho` checks `rho`'s grouped sums, `partition_row_to_sym_basis`
 checks `to_sym_basis`, `mutual_reachability_contract` checks
-`contract`, and `subset_expand` checks `expand`'s twin groups.
+`contract`, `subset_expand` checks `expand`'s twin groups, and
+`dfs_expand_nc` checks `expand_nc`'s batched level walk.
 No program path reads them, so
 they live here rather than in `chromexp`. pytest does not collect this
 module: its name does not match test_*.py.
 """
 
 import itertools
+import time
 from fractions import Fraction
 
+from chromexp.chromatic import LevelDP
 from chromexp.combinat import (
     RSetComposition,
     corruptions,
@@ -27,8 +30,9 @@ from chromexp.combinat import (
     set_composition_sort_key,
     shape,
 )
-from chromexp.graph import LEQ, LT, Contraction, LabelledDigraph, contract
+from chromexp.graph import LEQ, LT, Contraction, LabelledDigraph, contract, standardize_labels
 from chromexp.linalg import solve_combination
+from chromexp.ncqsym import NCQSymExpr
 from chromexp.qsym import SYM_KINDS, QSymExpr, _merge, basis_sym, is_symmetric
 from chromexp.tpoly import TPoly, coefficients, tpoly_to_json
 
@@ -310,3 +314,35 @@ def subset_expand(g) -> QSymExpr:
             packed >>= width
         terms[comp] = TPoly(coeffs)
     return QSymExpr(terms)
+
+
+def dfs_expand_nc(lg: LabelledDigraph, stats: dict | None = None) -> NCQSymExpr:
+    """expand_nc as a depth-first walk over the paths of moves, one stack
+    entry per path node: every state reachable from the start is walked,
+    whether or not a path from it reaches the full state, and only an
+    infeasible contraction stops the walk before it starts. `stats` is
+    filled as expand_nc fills it."""
+    start = time.perf_counter()
+    lg = standardize_labels(lg)
+    con = contract(lg.graph)
+    dp = LevelDP(con)
+    class_labels = [[lg.labels[v] for v in cls] for cls in con.classes]
+    block_labels: dict = {}
+    terms: dict = {}
+    stack = [(0, (), 0)] if con.feasible else []
+    while stack:
+        placed, prefix, asc = stack.pop()
+        if placed == dp.full:
+            terms[prefix] = TPoly.t_power(asc)
+            continue
+        for block, up, _, _ in reversed(dp.moves(placed)):
+            labels = block_labels.get(block)
+            if labels is None:
+                labels = block_labels[block] = tuple(sorted(
+                    lab for ci, labs in enumerate(class_labels) if block >> ci & 1
+                    for lab in labs))
+            stack.append((placed | block, prefix + (labels,), asc + up))
+    out = NCQSymExpr._of(terms)
+    if stats is not None:
+        dp.record(stats, len(out.terms), start)
+    return out
