@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import time
 from math import comb
-from operator import or_, rshift
 
 from . import graph as gr
 from .combinat import composition
@@ -58,13 +57,22 @@ class LevelDP:
     every state but the full one has a move (a class with no solid or
     double predecessor left unplaced can form the next level), so every
     path of moves ends at the full state.
+
+    With `downward`, the levels are coloured from the highest down: every
+    edge is read reversed, so a state holds the classes placed on higher
+    levels and a move's ascents are the edges from its block to them.
+    The colourings and their ascents are those of the upward walk, with
+    the levels of each colouring read in the opposite order; `ordered`
+    and the twin groups are the same, and when `ordered` is True so are
+    the counts of states and moves.
     """
 
     __slots__ = ("full", "ordered", "moves_of", "_groups", "_clash", "_below", "_weak",
                  "_into", "_again", "_weights")
 
-    def __init__(self, con: Contraction, twins: bool = False):
+    def __init__(self, con: Contraction, twins: bool = False, downward: bool = False):
         s = len(con.classes)
+        edges = [(cj, ci, kind) for ci, cj, kind in con.edges] if downward else con.edges
         self.full = (1 << s) - 1
         self.moves_of: dict[int, list] = {}
         self._clash = clash = [0] * s  # classes that may not share a level with it
@@ -73,7 +81,7 @@ class LevelDP:
         self._into = into = [0] * s    # the classes with an edge into it
         self._again = again = [[] for _ in range(s)]  # the tail of each repeated edge into it
         self._weights = con.weights
-        for ci, cj, kind in con.edges:
+        for ci, cj, kind in edges:
             bit = 1 << ci
             if into[cj] & bit:
                 again[cj].append(ci)
@@ -86,8 +94,11 @@ class LevelDP:
                 clash[cj] |= bit
                 if kind is LT:
                     below[cj] |= bit
-        # the double edges between classes alone form no cycle
-        self.ordered = not any(below) or _acyclic(list(map(or_, below, weak)))
+        # the double edges between classes alone form no cycle, and no
+        # class edge is a loop: acyclic exactly when every class is its own
+        # strongly connected component
+        self.ordered = not any(below) or len(gr._sccs(
+            s, [(ci, cj) for ci, cj, kind in con.edges if kind is not NEQ])) == s
         # each group as its first member and the bitmask of its members
         self._groups = [(v, 1 << v) for v in range(s)]
         # twins share their weight and their rules; most inputs already
@@ -139,28 +150,6 @@ class LevelDP:
         stats.update(classes=self.full.bit_length(), states=len(self.moves_of),
                      transitions=sum(map(len, self.moves_of.values())),
                      terms=terms, seconds=time.perf_counter() - start)
-
-
-def _acyclic(preds: list) -> bool:
-    """Whether the digraph on 0..s-1 in which preds[c] is the bitmask of
-    the predecessors of c has no cycle: Kahn's peeling, where a class is
-    peeled once all its predecessors are."""
-    if not any(map(rshift, preds, range(len(preds)))):
-        return True  # every edge rises in class order, as most builders number them
-    succs = [[] for _ in preds]
-    for c, p in enumerate(preds):
-        while p:
-            low = p & -p
-            succs[low.bit_length() - 1].append(c)
-            p ^= low
-    need = [p.bit_count() for p in preds]
-    peeled = [c for c, k in enumerate(need) if not k]
-    for c in peeled:  # grows while it is read
-        for d in succs[c]:
-            need[d] -= 1
-            if not need[d]:
-                peeled.append(d)
-    return len(peeled) == len(preds)
 
 
 def _twin_groups(con: Contraction, keys: list) -> list:

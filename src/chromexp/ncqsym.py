@@ -106,24 +106,28 @@ def expand_nc(lg: LabelledDigraph, stats: dict | None = None) -> NCQSymExpr:
     level i. The result is zero, with no state walked, when the
     contraction is infeasible or LevelDP.ordered is False.
 
-    The walk goes forward over the states in increasing bitmask order.
+    The walk colours the levels from the highest down (LevelDP's
+    `downward`) and goes over the states in increasing bitmask order.
     A move only adds classes, so when the least pending state is taken,
-    every path into it has arrived: each state holds the (prefix,
-    ascents) of those paths, each move extends all of them at once, a
-    move onto the full state writes their terms, and a state's paths are
-    dropped once its moves are taken. When `stats` is a dict it is
+    every path into it has arrived: each state holds the (suffix,
+    ascents) of those paths, each move puts its block in front of all of
+    them at once, a move onto the full state writes their terms, and a
+    state's paths are dropped once its moves are taken. Walking down
+    writes the terms grouped by their first block, as a depth-first walk
+    does, and NCQSymExpr._sorted sorts that order faster than the groups
+    by last block that walking up writes. When `stats` is a dict it is
     filled by LevelDP.record.
     """
     start = time.perf_counter() if stats is not None else 0.0
     lg = standardize_labels(lg)
     con = contract(lg.graph)
-    dp = LevelDP(con)
+    dp = LevelDP(con, downward=True)
     full = dp.full
     class_labels = [[lg.labels[v] for v in cls] for cls in con.classes]
     block_labels: dict = {}  # block mask -> (its sorted labels,)
     powers: dict = {}        # ascents -> t^ascents
     terms: dict = {}
-    pending = {0: [((), 0)]}  # state -> the (prefix, ascents) of the paths into it
+    pending = {0: [((), 0)]}  # state -> the (suffix, ascents) of the paths into it
     heap = [0] if full and con.feasible and dp.ordered else []
     if not full:  # no vertices: one colouring, with no level
         terms[()] = TPoly.t_power(0)
@@ -138,19 +142,19 @@ def expand_nc(lg: LabelledDigraph, stats: dict | None = None) -> NCQSymExpr:
                     for lab in labs)),)
             reached = placed | block
             if reached == full:
-                for prefix, asc in paths:
+                for suffix, asc in paths:
                     asc += up
                     power = powers.get(asc)
                     if power is None:
                         power = powers[asc] = TPoly.t_power(asc)
-                    terms[prefix + labels] = power
+                    terms[labels + suffix] = power
                 continue
             got = pending.get(reached)
             if got is None:
-                pending[reached] = [(prefix + labels, asc + up) for prefix, asc in paths]
+                pending[reached] = [(labels + suffix, asc + up) for suffix, asc in paths]
                 heappush(heap, reached)
             else:
-                got += [(prefix + labels, asc + up) for prefix, asc in paths]
+                got += [(labels + suffix, asc + up) for suffix, asc in paths]
     out = NCQSymExpr._of(terms)
     if stats is not None:
         dp.record(stats, len(out.terms), start)

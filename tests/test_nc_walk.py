@@ -1,12 +1,12 @@
 """Differential tests of expand_nc's batched level walk, and of the zero
 expansions that LevelDP.ordered decides before any walk.
 
-expand_nc walks the states forward in increasing bitmask order and
-extends every path into a state at once. reference.dfs_expand_nc is the
-depth-first walk it replaced, one stack entry per path node; the two
-must give the same terms and coefficients, with the full t-grading, on
-seeded labelled digraphs of 0-7 vertices, and walk the same states and
-moves wherever a colouring can exist.
+expand_nc walks the states in increasing bitmask order, colouring the
+levels from the top down, and extends every path into a state at once.
+reference.dfs_expand_nc is the depth-first walk it replaced, one stack
+entry per path node; the two must give the same terms and coefficients,
+with the full t-grading, on seeded labelled digraphs of 0-7 vertices,
+and walk the same states and moves wherever a colouring can exist.
 """
 
 import random
@@ -15,7 +15,7 @@ import pytest
 from reference import dfs_expand_nc, subset_expand
 
 from chromexp import oracle
-from chromexp.chromatic import LevelDP, _acyclic, chromatic_number, expand
+from chromexp.chromatic import LevelDP, chromatic_number, expand
 from chromexp.graph import contract, labelled, make, parse_dsl, standardize_labels
 from chromexp.ncqsym import NCQSymExpr, expand_nc, ncqsym_to_json
 from chromexp.qsym import QSymExpr
@@ -109,6 +109,17 @@ def test_expand_nc_matches_the_stack_walk(family):
             assert (stats["states"], stats["transitions"], stats["terms"]) == (0, 0, 0), lg
 
 
+@pytest.mark.parametrize("family", list(DIGRAPHS))
+def test_expand_nc_writes_each_first_block_together(family):
+    """The walk colours the levels from the top down, so the terms of
+    one first block are written one after another, as the depth-first
+    walk wrote them; NCQSymExpr._sorted sorts that order fast."""
+    for lg in DIGRAPHS[family]:
+        firsts = [phi[0] for phi in expand_nc(lg).terms if phi]
+        changes = sum(a != b for a, b in zip(firsts, firsts[1:]))
+        assert changes == max(len(set(firsts)) - 1, 0), lg
+
+
 def test_the_families_exercise_every_case():
     """The draws hold zero and nonzero expansions in the families meant
     to, and the cycle family is caught by `ordered` alone."""
@@ -150,19 +161,6 @@ def test_ordered_is_false_exactly_when_no_colouring_exists():
     assert min(seen.values()) >= 30
 
 
-@pytest.mark.parametrize("preds, acyclic", [
-    ([], True),
-    ([0, 0, 0], True),
-    ([0, 0b1, 0b10], True),                 # a chain 0 -> 1 -> 2
-    ([0b100, 0b1, 0b10], False),            # the cycle 0 -> 1 -> 2 -> 0
-    ([0b10, 0b1], False),                   # a 2-cycle
-    ([0, 0b101, 0b1, 0b110], True),         # a diamond, predecessors out of order
-    ([0, 0b1001, 0b10, 0b100], False),      # a cycle 1 -> 2 -> 3 -> 1 off a source
-])
-def test_acyclic(preds, acyclic):
-    assert _acyclic(preds) is acyclic
-
-
 def test_ordered_reads_solid_and_double_edges_between_classes():
     cases = [
         (make(2, [(0, 1, "lt"), (1, 0, "lt")]), False),
@@ -172,11 +170,16 @@ def test_ordered_reads_solid_and_double_edges_between_classes():
         (make(3, [(0, 1, "leq"), (1, 2, "leq"), (2, 0, "leq")]), True),   # one class
         (make(3, [(0, 1, "neq"), (1, 2, "neq"), (2, 0, "neq")]), True),   # dashed only
         (make(3, [(0, 1, "lt"), (1, 2, "neq"), (2, 0, "lt")]), True),
+        # a diamond whose edges fall in class order
+        (make(4, [(3, 1, "lt"), (3, 2, "lt"), (1, 0, "lt"), (2, 0, "leq")]), True),
+        # a cycle 1 -> 2 -> 3 -> 1 off a source
+        (make(4, [(0, 1, "lt"), (1, 2, "lt"), (2, 3, "leq"), (3, 1, "lt")]), False),
         (parse_dsl("P(1000)"), True),
     ]
     for g, ordered in cases:
         assert LevelDP(contract(g)).ordered is ordered, g
         assert LevelDP(contract(g), twins=True).ordered is ordered, g
+        assert LevelDP(contract(g), downward=True).ordered is ordered, g
 
 
 def test_a_solid_two_cycle_visits_no_state():
