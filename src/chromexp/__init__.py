@@ -83,6 +83,7 @@ from .qsym import (
     is_symmetric,
     qsym_from_json,
     qsym_to_json,
+    sym_basis,
     to_qsym_basis,
     to_sym_basis,
 )

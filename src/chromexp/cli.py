@@ -24,7 +24,6 @@ from .combinat import (
     r_compositions,
     r_set_compositions,
     compositions,
-    partitions,
     set_compositions,
     set_partitions,
     format_composition,
@@ -513,7 +512,7 @@ def _basis_elements(space, n, r, kind) -> list:
         if kind in ("M", "F", "Fbar"):
             maker = {"M": qsym.basis_M, "F": qsym.basis_F, "Fbar": qsym.basis_Fbar}[kind]
             return [(alpha, maker(alpha)) for alpha in compositions(n)]
-        return [(lam, qsym.basis_sym(kind, lam)) for lam in partitions(n)]
+        return list(qsym.sym_basis(kind, n).items())
     if space == "ncqsym":
         if kind in ("M", "F", "Fbar"):
             return [(phi, ncqsym.basis_nc(kind, phi)) for phi in set_compositions(n)]

@@ -602,7 +602,8 @@ def tableau_contents(rows, admissible) -> dict[tuple[int, ...], int]:
 
     verify's oracle for the composition grids (immaculate tableaux) is
     its caller. Semistandard tableaux, for basis_sym("s"), are counted
-    by horizontal strips in qsym instead."""
+    instead as Kostka numbers in qsym's prefix table of horizontal
+    strips, one table per degree."""
     n = sum(rows)
     if n == 0:
         return {(): 1}

@@ -6,7 +6,6 @@ to p colours."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +29,6 @@ from .combinat import (
     partitions,
     refinements,
 )
-from .linalg import solve_combination
 from .tpoly import TPoly, check_coefficient, tpoly_from_json, tpoly_to_json
 
 
@@ -403,78 +401,119 @@ SYM_KINDS = ("m", "maug", "e", "eaug", "h", "p", "s")
 def basis_sym(kind: str, lam) -> QSymExpr:
     """Symmetric-function bases in M coordinates, from their
     combinatorial definitions (not from digraphs): kind is one of
-    SYM_KINDS."""
+    SYM_KINDS. The element is row lam of its degree's table (see
+    _sym_rows)."""
     lam = partition(lam)
-    if kind == "m":
-        return QSymExpr({alpha: 1 for alpha in distinct_rearrangements(lam)})
-    if kind == "maug":
-        return basis_sym("m", lam).scale(lambda_superfactorial(lam))
-    if kind == "e":
-        return _product_over_parts(lam, lambda p: QSymExpr({(1,) * p: 1}))
-    if kind == "eaug":
-        return basis_sym("e", lam).scale(lambda_factorial(lam))
-    if kind == "h":
-        return _product_over_parts(
-            lam, lambda p: QSymExpr({alpha: 1 for alpha in compositions(p)}))
+    return _spread(_sym_rows(kind, sum(lam), [lam])[lam])
+
+
+def sym_basis(kind: str, n: int) -> dict[tuple[int, ...], QSymExpr]:
+    """Every degree-n element of a symmetric basis, by partition in the
+    order of partitions(n), from one table for the degree."""
+    return {lam: _spread(row) for lam, row in _sym_rows(kind, n, partitions(n)).items()}
+
+
+def _spread(row: dict) -> QSymExpr:
+    """The symmetric function with M coefficient row[mu] at every
+    rearrangement of each partition mu."""
+    return QSymExpr._of({alpha: c for mu, c in row.items()
+                         for alpha in distinct_rearrangements(mu)})
+
+
+def _sym_rows(kind: str, n: int, lams) -> dict:
+    """{lam: {mu: coefficient of m_mu}} for the degree-n elements of kind
+    at lams, read off one prefix table for the degree (Macdonald I.6):
+    s_lam = sum K(lam, mu) m_mu, h_lam = sum K(nu, lam) s_nu, e_lam =
+    sum K(nu, lam) s_nu' for nu' the conjugate of nu, and p_lam is row
+    lam of the power-sum table."""
+    if kind not in SYM_KINDS:
+        raise ValueError(f"unknown symmetric basis kind {kind!r}")
+    if kind in ("m", "maug"):
+        return {lam: {lam: 1 if kind == "m" else lambda_superfactorial(lam)} for lam in lams}
     if kind == "p":
-        return _product_over_parts(lam, lambda p: QSymExpr({(p,): 1}))
+        table = _prefix_table(n, _add_part)
+        return {lam: table[lam] for lam in lams}
+    kostka = _prefix_table(n, _horizontal_strips)
+    schur: dict = {}
+    for mu, column in kostka.items():
+        for nu, k in column.items():
+            schur.setdefault(nu, {})[mu] = k
     if kind == "s":
-        return QSymExpr._of(_ssyt_contents(lam))
-    raise ValueError(f"unknown symmetric basis kind {kind!r}")
-
-
-def _product_over_parts(lam, factor) -> QSymExpr:
-    out = QSymExpr.one()
-    for p in lam:
-        out = out * factor(p)
+        return {lam: schur[lam] for lam in lams}
+    out = {}
+    for lam in lams:
+        scale = lambda_factorial(lam) if kind == "eaug" else 1
+        row: dict = {}
+        for nu, k in kostka[lam].items():
+            for mu, c in schur[nu if kind == "h" else _conjugate(nu)].items():
+                row[mu] = row.get(mu, 0) + scale * k * c
+        out[lam] = row
     return out
 
 
-def _ssyt_contents(lam) -> dict[tuple[int, ...], int]:
-    """Number of semistandard tableaux of the given shape per content
-    composition (rows weakly increase, columns strictly increase).
-
-    The count for a partition mu is the Kostka number K(lam, mu), the
-    number of chains of horizontal strips of sizes mu_1, mu_2, ... that
-    fill lam. Kostka numbers are symmetric in the content, so each
-    rearrangement of mu gets the same count.
-    """
-    out: dict[tuple[int, ...], int] = {}
-    for mu in partitions(sum(lam)):
-        count = _kostka(lam, mu)
-        if count:
-            out.update(dict.fromkeys(distinct_rearrangements(mu), count))
-    return out
-
-
-def _kostka(lam, mu) -> int:
-    """K(lam, mu): the shapes inside lam reached after each strip, with
-    the number of chains reaching each, one strip of mu at a time."""
-    shapes = {(): 1}
-    for size in mu:
-        grown: dict = {}
-        for nu, count in shapes.items():
-            for shape in _horizontal_strips(nu, size, lam):
-                grown[shape] = grown.get(shape, 0) + count
-        shapes = grown
-    return shapes.get(tuple(lam), 0)
-
-
-def _horizontal_strips(nu, size, lam=None) -> list:
+def _horizontal_strips(nu, size) -> list:
     """The partitions that add a horizontal strip of size cells to the
-    partition nu, inside the partition lam if one is given: row i grows
-    to at most the old length of row i - 1, and one new row may start."""
+    partition nu, each once: row i grows to at most the old length of
+    row i - 1, and one new row may start."""
     rows = (*nu, 0)
     rooms = [size, *(above - row for above, row in zip(rows, rows[1:]))]
-    if lam is not None:
-        rooms = [min(room, (lam[i] if i < len(lam) else 0) - row)
-                 for i, (room, row) in enumerate(zip(rooms, rows))]
     partial = [((), size)]  # the rows grown so far, and the cells left
     for i, row in enumerate(rows):
         room, rest = rooms[i], sum(rooms[i + 1:])
         partial = [(shape + (row + add,), left - add) for shape, left in partial
                    for add in range(max(0, left - rest), min(room, left) + 1)]
-    return [shape if shape[-1] else shape[:-1] for shape, _ in partial]
+    return [(shape if shape[-1] else shape[:-1], 1) for shape, _ in partial]
+
+
+def _add_part(nu, part) -> list:
+    """m_nu p_part as (partition, coefficient of its m) pairs: the part
+    is added to one part of each distinct value of nu, or starts a new
+    part, and the coefficient is the count of the grown value (Stanley
+    EC2 7.7)."""
+    out = []
+    for value in (*dict.fromkeys(nu), 0):
+        parts = list(nu)
+        if value:
+            parts.remove(value)
+        grown = tuple(sorted((*parts, value + part), reverse=True))
+        out.append((grown, grown.count(value + part)))
+    return out
+
+
+def _prefix_table(n: int, moves) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
+    """{mu: {shape: count}} over the partitions mu of n, in the order of
+    partitions(n): the shapes that moves(shape, part) grows from the
+    empty shape one part of mu at a time, each reached with the sum over
+    its move sequences of the product of their multiplicities.
+
+    With _horizontal_strips the count is the Kostka number K(shape, mu),
+    the number of chains of horizontal strips of sizes mu_1, mu_2, ...;
+    the table is unitriangular, with shape >= mu in dominance. With
+    _add_part it is the coefficient of m_shape in p_mu, again with shape
+    >= mu, and the diagonal is prod m_i(mu)!. A depth-first walk adds
+    one part at a time, largest first, so the mu that start with the
+    same parts share the shapes grown for them, and each (shape, part)
+    lists its moves once.
+    """
+    memo: dict = {}
+    table = {}
+    stack = [((), n, {(): 1})]
+    while stack:
+        prefix, left, shapes = stack.pop()
+        if not left:
+            table[prefix] = shapes
+            continue
+        # pushed smallest first, so the largest next part pops first
+        for part in range(1, min(left, prefix[-1] if prefix else n) + 1):
+            grown: dict = {}
+            for nu, count in shapes.items():
+                key = (nu, part)
+                if key not in memo:
+                    memo[key] = moves(nu, part)
+                for shape, times in memo[key]:
+                    grown[shape] = grown.get(shape, 0) + times * count
+            stack.append((prefix + (part,), left - part, grown))
+    return table
 
 
 def basis_r(kind: str, beta, mu, r) -> QSymExpr:
@@ -511,13 +550,14 @@ def to_sym_basis(f: QSymExpr, kind: str) -> dict[tuple[int, ...], TPoly]:
     be fractions), in the order of each power of t's first occurrence in
     f, then of partitions(n). Raises on an unknown kind and on
     non-symmetric input. A symmetric function is fixed by its M
-    coefficients at partitions, which are its m coordinates. The s, h
-    and e coordinates follow from them by substitution through one
-    Kostka table per degree, which is unitriangular in dominance
-    (Macdonald I.6): s_lam = sum K(lam, mu) m_mu, h_mu = sum K(lam, mu)
+    coefficients at partitions, which are its m coordinates. The other
+    coordinates follow from them by substitution through one prefix
+    table per degree (see _prefix_table), triangular in dominance
+    (Macdonald I.6). For s, h and e it is the Kostka table, which is
+    unitriangular: s_lam = sum K(lam, mu) m_mu, h_mu = sum K(lam, mu)
     s_lam, and e_mu = sum K(lam, mu) s_lam' for lam' the conjugate of
-    lam. p is only a rational basis, so each degree solves the square
-    system of its columns on the partition rows.
+    lam. For p it is the power-sum table, p_lam = sum R(lam, mu) m_mu,
+    whose diagonal prod m_i! is the only division.
     """
     if kind not in SYM_KINDS:
         raise ValueError(f"unknown symmetric basis kind {kind!r}")
@@ -526,16 +566,14 @@ def to_sym_basis(f: QSymExpr, kind: str) -> dict[tuple[int, ...], TPoly]:
     out: dict[tuple[int, ...], dict[int, Fraction]] = {}
     for n in f.degrees():
         lams = list(partitions(n))
-        if kind == "p":
-            solve = _p_solver(n, lams)
-        else:
-            # m and maug read the partition rows as they stand
-            table = None if kind in ("m", "maug") else _kostka_table(n)
-            solve = functools.partial(_kostka_coordinates, kind, table)
+        # m and maug read the partition rows as they stand
+        table = (None if kind in ("m", "maug")
+                 else _prefix_table(n, _add_part if kind == "p" else _horizontal_strips))
         # slicing every term keeps the powers of t, and so the output's
         # order, as they first occur in f
         for power, coords in _t_slices(f.homogeneous_component(n).terms).items():
-            solution = solve({lam: coords[lam] for lam in lams if lam in coords})
+            solution = _sym_coordinates(
+                kind, table, {lam: coords[lam] for lam in lams if lam in coords})
             for lam in lams:
                 value = solution.get(lam)
                 if value:
@@ -543,53 +581,41 @@ def to_sym_basis(f: QSymExpr, kind: str) -> dict[tuple[int, ...], TPoly]:
     return {lam: _tpoly_from_slices(powers) for lam, powers in out.items()}
 
 
-def _p_solver(n: int, lams: list):
-    """Coordinates over p from the partition rows: p_lam is triangular
-    on them with diagonal prod m_i!, so over the rationals only."""
-    row = {lam: i for i, lam in enumerate(lams)}
-    columns = [{row[k]: c for k, c in basis_sym("p", lam).terms.items() if k in row}
-               for lam in lams]
-
-    def solve(rows: dict) -> dict:
-        solution = solve_combination(columns, {row[lam]: c for lam, c in rows.items()})
-        if solution is None:
-            raise ValueError(f"degree-{n} component is not in the p span")
-        return dict(zip(lams, solution))
-
-    return solve
-
-
-def _kostka_coordinates(kind: str, table: dict | None, rows: dict) -> dict:
-    """The coordinates over kind (not p) of the symmetric function whose
-    M coefficients at partitions are rows, by integer substitution."""
+def _sym_coordinates(kind: str, table: dict | None, rows: dict) -> dict:
+    """The coordinates over kind of the symmetric function whose M
+    coefficients at partitions are rows, by substitution through the
+    degree's prefix table."""
     if kind == "m":
         return rows
     if kind == "maug":
         return {lam: Fraction(c, lambda_superfactorial(lam)) for lam, c in rows.items()}
-    # rows[mu] = sum over lam >= mu of K(lam, mu) schur[lam]: top of
-    # dominance first, each mu's column reads the lam already solved
-    schur: dict = {}
-    for mu, column in table.items():
-        value = rows.get(mu, 0)
-        for lam, k in column.items():
-            if lam in schur:
-                value -= k * schur[lam]
-        if value:
-            schur[mu] = value
-    if kind == "s":
-        return schur
-    if kind in ("e", "eaug"):
-        schur = {_conjugate(lam): c for lam, c in schur.items()}
-    # schur[lam] = sum over mu <= lam of K(lam, mu) out[mu]: bottom of
+    if kind != "p":
+        # rows[mu] = sum over lam >= mu of K(lam, mu) schur[lam]: top of
+        # dominance first, each mu's column reads the lam already solved
+        schur: dict = {}
+        for mu, column in table.items():
+            value = rows.get(mu, 0)
+            for lam, k in column.items():
+                if lam in schur:
+                    value -= k * schur[lam]
+            if value:
+                schur[mu] = value
+        if kind == "s":
+            return schur
+        rows = {_conjugate(lam): c for lam, c in schur.items()} if kind in ("e", "eaug") else schur
+    # rows[lam] = sum over mu <= lam of table[mu][lam] out[mu]: bottom of
     # dominance first, each solved mu is taken from the lam above it
     out: dict = {}
     for mu in reversed(table):
-        value = schur.get(mu)
+        value = rows.get(mu)
         if value:
+            column = table[mu]
+            if column[mu] != 1:
+                value = Fraction(value, column[mu])
             out[mu] = value
-            for lam, k in table[mu].items():
+            for lam, k in column.items():
                 if lam != mu:
-                    schur[lam] = schur.get(lam, 0) - k * value
+                    rows[lam] = rows.get(lam, 0) - k * value
     if kind == "eaug":
         return {lam: Fraction(c, lambda_factorial(lam)) for lam, c in out.items()}
     return out
@@ -598,38 +624,6 @@ def _kostka_coordinates(kind: str, table: dict | None, rows: dict) -> dict:
 def _conjugate(lam) -> tuple[int, ...]:
     """The conjugate partition: its parts are the column lengths of lam."""
     return tuple(sum(1 for p in lam if p > i) for i in range(lam[0] if lam else 0))
-
-
-def _kostka_table(n: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
-    """{mu: {lam: K(lam, mu)}} over the partitions of n, with mu in the
-    order of partitions(n) and only the nonzero entries, which have
-    lam >= mu in dominance.
-
-    K(lam, mu) counts the chains of horizontal strips of sizes mu_1,
-    mu_2, ... from the empty shape to lam. A depth-first walk adds one
-    part at a time, largest first, so the mu that start with the same
-    parts share the shapes grown for them, and each (shape, size) lists
-    its strips once.
-    """
-    strips: dict = {}
-    table = {}
-    stack = [((), n, {(): 1})]
-    while stack:
-        prefix, left, shapes = stack.pop()
-        if not left:
-            table[prefix] = shapes
-            continue
-        # pushed smallest first, so the largest next part pops first
-        for size in range(1, min(left, prefix[-1] if prefix else n) + 1):
-            grown: dict = {}
-            for nu, count in shapes.items():
-                key = (nu, size)
-                if key not in strips:
-                    strips[key] = _horizontal_strips(nu, size)
-                for shape in strips[key]:
-                    grown[shape] = grown.get(shape, 0) + count
-            stack.append((prefix + (size,), left - size, grown))
-    return table
 
 
 def _tpoly_from_slices(powers: dict[int, Fraction]) -> TPoly:

@@ -5,8 +5,9 @@ that some test checks live code against: `corrupts` checks
 `reformations`, `dominance_leq` checks the order of `partitions`,
 `standardize_word` and `permutation_inverse` check `mr_F`'s fibres,
 `relabel` builds the relabellings that `symmetrize` must sum,
-`fold_rho` checks `rho`'s grouped sums, `partition_row_to_sym_basis`
-checks `to_sym_basis`, `mutual_reachability_contract` checks
+`fold_rho` checks `rho`'s grouped sums, `definition_basis_sym` checks
+`basis_sym`'s prefix tables, `partition_row_to_sym_basis` checks
+`to_sym_basis`, `mutual_reachability_contract` checks
 `contract`, `subset_expand` checks `expand`'s twin groups, and
 `dfs_expand_nc` checks `expand_nc`'s batched level walk.
 No program path reads them, so
@@ -21,9 +22,14 @@ from fractions import Fraction
 from chromexp.chromatic import LevelDP
 from chromexp.combinat import (
     RSetComposition,
+    compositions,
     corruptions,
     descent_set,
+    distinct_rearrangements,
     ground_set,
+    lambda_factorial,
+    lambda_superfactorial,
+    partition,
     partitions,
     reformations,
     set_composition,
@@ -33,7 +39,7 @@ from chromexp.combinat import (
 from chromexp.graph import LEQ, LT, Contraction, LabelledDigraph, contract, standardize_labels
 from chromexp.linalg import solve_combination
 from chromexp.ncqsym import NCQSymExpr
-from chromexp.qsym import SYM_KINDS, QSymExpr, _merge, basis_sym, is_symmetric
+from chromexp.qsym import SYM_KINDS, QSymExpr, _merge, is_symmetric
 from chromexp.tpoly import TPoly, coefficients, tpoly_to_json
 
 # ---------------------------------------------------------------------------
@@ -179,10 +185,87 @@ def fold_rho(f) -> QSymExpr:
     return QSymExpr._of(out)
 
 
+def definition_basis_sym(kind: str, lam) -> QSymExpr:
+    """A symmetric basis element from its definition, one element at a
+    time: e, h and p as products of one-part elements, each a sum over
+    compositions; maug and eaug scaled from m and e; s by one chain of
+    horizontal strips per (lam, mu) pair."""
+    lam = partition(lam)
+    if kind == "m":
+        return QSymExpr({alpha: 1 for alpha in distinct_rearrangements(lam)})
+    if kind == "maug":
+        return definition_basis_sym("m", lam).scale(lambda_superfactorial(lam))
+    if kind == "e":
+        return _product_over_parts(lam, lambda p: QSymExpr({(1,) * p: 1}))
+    if kind == "eaug":
+        return definition_basis_sym("e", lam).scale(lambda_factorial(lam))
+    if kind == "h":
+        return _product_over_parts(
+            lam, lambda p: QSymExpr({alpha: 1 for alpha in compositions(p)}))
+    if kind == "p":
+        return _product_over_parts(lam, lambda p: QSymExpr({(p,): 1}))
+    if kind == "s":
+        return QSymExpr._of(_ssyt_contents(lam))
+    raise ValueError(f"unknown symmetric basis kind {kind!r}")
+
+
+def _product_over_parts(lam, factor) -> QSymExpr:
+    out = QSymExpr.one()
+    for p in lam:
+        out = out * factor(p)
+    return out
+
+
+def _ssyt_contents(lam) -> dict[tuple[int, ...], int]:
+    """Number of semistandard tableaux of the given shape per content
+    composition (rows weakly increase, columns strictly increase).
+
+    The count for a partition mu is the Kostka number K(lam, mu), the
+    number of chains of horizontal strips of sizes mu_1, mu_2, ... that
+    fill lam. Kostka numbers are symmetric in the content, so each
+    rearrangement of mu gets the same count.
+    """
+    out: dict[tuple[int, ...], int] = {}
+    for mu in partitions(sum(lam)):
+        count = _kostka(lam, mu)
+        if count:
+            out.update(dict.fromkeys(distinct_rearrangements(mu), count))
+    return out
+
+
+def _kostka(lam, mu) -> int:
+    """K(lam, mu): the shapes inside lam reached after each strip, with
+    the number of chains reaching each, one strip of mu at a time."""
+    shapes = {(): 1}
+    for size in mu:
+        grown: dict = {}
+        for nu, count in shapes.items():
+            for shape in _horizontal_strips_inside(nu, size, lam):
+                grown[shape] = grown.get(shape, 0) + count
+        shapes = grown
+    return shapes.get(tuple(lam), 0)
+
+
+def _horizontal_strips_inside(nu, size, lam) -> list:
+    """The partitions inside lam that add a horizontal strip of size
+    cells to the partition nu: row i grows to at most the old length of
+    row i - 1 and to at most lam_i, and one new row may start."""
+    rows = (*nu, 0)
+    rooms = [size, *(above - row for above, row in zip(rows, rows[1:]))]
+    rooms = [min(room, (lam[i] if i < len(lam) else 0) - row)
+             for i, (room, row) in enumerate(zip(rooms, rows))]
+    partial = [((), size)]  # the rows grown so far, and the cells left
+    for i, row in enumerate(rows):
+        room, rest = rooms[i], sum(rooms[i + 1:])
+        partial = [(shape + (row + add,), left - add) for shape, left in partial
+                   for add in range(max(0, left - rest), min(room, left) + 1)]
+    return [shape if shape[-1] else shape[:-1] for shape, _ in partial]
+
+
 def partition_row_to_sym_basis(f: QSymExpr, kind: str) -> dict:
     """Coordinates over a symmetric basis by one rational solve per
     degree and power of t: the columns are the basis elements of every
-    kind, built from their definitions, on the partition rows. The
+    kind, built by definition_basis_sym, on the partition rows. The
     output keeps to_sym_basis's order: powers of t as they first occur
     in f, then partitions(n)."""
     if kind not in SYM_KINDS:
@@ -193,7 +276,8 @@ def partition_row_to_sym_basis(f: QSymExpr, kind: str) -> dict:
     for n in f.degrees():
         lams = list(partitions(n))
         row = {lam: i for i, lam in enumerate(lams)}
-        columns = [{row[k]: c for k, c in basis_sym(kind, lam).terms.items() if k in row}
+        columns = [{row[k]: c for k, c in definition_basis_sym(kind, lam).terms.items()
+                    if k in row}
                    for lam in lams]
         slices: dict = {}
         for key, coeff in f.homogeneous_component(n).terms.items():

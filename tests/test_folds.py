@@ -3,8 +3,8 @@
 `TermMap.collect` now reads the fiber coordinates of `r_regroup`,
 `r_regroup_tensor`, `to_ncsym_m` and `is_symmetric`, and
 `combinat.tableau_contents` counts the tableaux of `_immaculate_contents`
-(`_ssyt_contents` counts Kostka numbers by horizontal strips and is
-checked here too). The earlier, separate implementations are
+(the reference `_ssyt_contents`, which counts Kostka numbers by
+horizontal strips for `basis_sym`'s tests, is checked here too). The earlier, separate implementations are
 kept here, and only here, as references: results must agree, and so
 must the type, fiber index and details of every error.
 """
@@ -41,9 +41,9 @@ from chromexp.ncqsym import (
     r_regroup_tensor,
     to_ncsym_m,
 )
-from chromexp.qsym import QSymExpr, _ssyt_contents, is_symmetric
+from chromexp.qsym import QSymExpr, is_symmetric
 from chromexp.verify import _immaculate_contents
-from reference import sort_to_partition
+from reference import _ssyt_contents, sort_to_partition
 
 # ---------------------------------------------------------------------------
 # the earlier implementations

@@ -1,13 +1,16 @@
 """Differential tests of symmetric-basis conversion.
 
 `to_sym_basis` reads the m coordinates off the partition rows and the
-s, h and e coordinates by unitriangular substitution through one Kostka
-table per degree (`_kostka_table`); only p still solves a square system
-on the partition rows. Its references are the partition-row solve over
-every kind's columns (`reference.partition_row_to_sym_basis`) and the
-dense solve over every composition row that came before it, kept here.
-`basis_sym("s")` counts Kostka numbers by chains of horizontal strips,
-checked against a brute-force count of semistandard fillings, and
+others by triangular substitution through one prefix table per degree
+(`_prefix_table`): the Kostka table for s, h and e, and the power-sum
+table for p. `basis_sym` and `sym_basis` read their elements off the
+same tables. The references build every element from its definition
+(`reference.definition_basis_sym`): products of one-part elements, and
+one chain of horizontal strips per (lam, mu) pair for s, which is
+checked against a brute-force count of semistandard fillings. The
+coordinates are checked against the partition-row solve over those
+columns (`reference.partition_row_to_sym_basis`) and the dense solve
+over every composition row that came before it, kept here, and
 `distinct_rearrangements` against the permutation walk with a seen-set
 that it replaced.
 """
@@ -21,21 +24,30 @@ from hypothesis import given, settings, strategies as st
 
 from chromexp import qsym
 from chromexp.chromatic import expand
-from chromexp.combinat import compositions, distinct_rearrangements, partitions
+from chromexp.combinat import (
+    compositions, distinct_rearrangements, lambda_superfactorial, partitions)
 from chromexp.graph import parse_dsl
 from chromexp.linalg import solve_combination
 from chromexp.qsym import (
     SYM_KINDS,
     QSymExpr,
-    _kostka,
-    _kostka_table,
-    _ssyt_contents,
+    _add_part,
+    _horizontal_strips,
+    _prefix_table,
     basis_M,
     basis_sym,
+    sym_basis,
     to_sym_basis,
 )
 from chromexp.tpoly import TPoly, coefficients, evaluate
-from reference import dominance_leq, partition_row_to_sym_basis, sort_to_partition
+from reference import (
+    _kostka,
+    _ssyt_contents,
+    definition_basis_sym,
+    dominance_leq,
+    partition_row_to_sym_basis,
+    sort_to_partition,
+)
 
 
 def ref_rearrangements(lam):
@@ -56,7 +68,8 @@ def dense_to_sym_basis(f, kind):
     out = {}
     for n in f.degrees():
         lams = list(partitions(n))
-        columns = [{k: evaluate(c, 1) for k, c in basis_sym(kind, lam).terms.items()}
+        columns = [{k: evaluate(c, 1)
+                    for k, c in definition_basis_sym(kind, lam).terms.items()}
                    for lam in lams]
         slices = {}
         for key, coeff in f.homogeneous_component(n).terms.items():
@@ -170,7 +183,7 @@ def test_substitution_matches_the_partition_row_solve_on_combinations(terms):
 
 @pytest.mark.parametrize("n", range(9))
 def test_kostka_table_matches_the_bounded_strip_count(n):
-    table = _kostka_table(n)
+    table = _prefix_table(n, _horizontal_strips)
     assert list(table) == list(partitions(n))
     for mu in partitions(n):
         assert table[mu] == {lam: k for lam in partitions(n) if (k := _kostka(lam, mu))}, mu
@@ -179,9 +192,43 @@ def test_kostka_table_matches_the_bounded_strip_count(n):
 @pytest.mark.parametrize("n", range(11))
 def test_kostka_table_is_unitriangular_in_partition_order(n):
     place = {lam: i for i, lam in enumerate(partitions(n))}
-    for mu, column in _kostka_table(n).items():
+    for mu, column in _prefix_table(n, _horizontal_strips).items():
         assert column[mu] == 1
         assert all(place[lam] <= place[mu] and k > 0 for lam, k in column.items()), mu
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_power_sum_table_is_triangular_with_the_superfactorial_diagonal(n):
+    place = {lam: i for i, lam in enumerate(partitions(n))}
+    table = _prefix_table(n, _add_part)
+    assert list(table) == list(partitions(n))
+    for mu, row in table.items():
+        assert row[mu] == lambda_superfactorial(mu), mu
+        assert all(place[lam] <= place[mu] and k > 0 for lam, k in row.items()), mu
+
+
+def typed_terms(f):
+    return {k: (type(c), c) for k, c in f.terms.items()}
+
+
+def test_elements_match_their_definitions_through_degree_eight():
+    for n in range(9):
+        for lam in partitions(n):
+            for kind in SYM_KINDS:
+                want = typed_terms(definition_basis_sym(kind, lam))
+                assert typed_terms(basis_sym(kind, lam)) == want, (kind, lam)
+
+
+def test_a_listing_holds_the_elements_one_at_a_time():
+    for n in range(9):
+        for kind in SYM_KINDS:
+            listing = sym_basis(kind, n)
+            assert list(listing) == list(partitions(n))
+            for lam, f in listing.items():
+                assert typed_terms(f) == typed_terms(basis_sym(kind, lam)), (kind, lam)
+    for make in (lambda: sym_basis("zzz", 2), lambda: basis_sym("zzz", (2,))):
+        with pytest.raises(ValueError, match="unknown symmetric basis kind 'zzz'"):
+            make()
 
 
 def refuse(*args, **kwargs):
@@ -190,34 +237,21 @@ def refuse(*args, **kwargs):
 
 def test_substitution_builds_no_column_and_runs_no_solve(monkeypatch):
     inputs = [EXPANSIONS["K(8)"], EXPANSIONS["grid(4,3,1)"].at_t(1),
+              EXPANSIONS["K(1)+P(3)+K(4)"],
               combination([("h", (3, 2, 1), Fraction(2, 3)), ("e", (4, 1), 5),
                            ("p", (2, 2), TPoly((1, Fraction(-1, 2))))])]
     want = {(i, kind): partition_row_to_sym_basis(f, kind)
-            for i, f in enumerate(inputs) for kind in SYM_KINDS if kind != "p"}
+            for i, f in enumerate(inputs) for kind in SYM_KINDS}
     monkeypatch.setattr(qsym, "basis_sym", refuse)
-    monkeypatch.setattr(qsym, "solve_combination", refuse)
+    monkeypatch.setattr(qsym, "sym_basis", refuse)
+    monkeypatch.setattr("chromexp.linalg.solve_combination", refuse)
     for (i, kind), coords in want.items():
         assert shape_of(to_sym_basis(inputs[i], kind)) == shape_of(coords)
 
 
-def test_p_still_solves_on_the_partition_rows(monkeypatch):
-    calls = []
-
-    def counted(columns, target):
-        calls.append(len(columns))
-        return solve_combination(columns, target)
-
-    f = EXPANSIONS["K(1)+P(3)+K(4)"]
-    want = shape_of(partition_row_to_sym_basis(f, "p"))
-    monkeypatch.setattr(qsym, "solve_combination", counted)
-    assert shape_of(to_sym_basis(f, "p")) == want
-    # one solve per degree and power of t, with one column per partition
-    assert sorted(set(calls)) == [1, 3, 5]
-
-
 @pytest.mark.parametrize("n", range(11))
 def test_partitions_list_each_partition_after_all_that_dominate_it(n):
-    """to_sym_basis substitutes through the Kostka table in the order of
+    """to_sym_basis substitutes through the prefix tables in the order of
     partitions(n), which reads each coordinate after those it depends on
     only if no partition comes before one that strictly dominates it."""
     lams = list(partitions(n))
