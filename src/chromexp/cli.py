@@ -25,7 +25,6 @@ from .combinat import (
     r_set_compositions,
     compositions,
     set_compositions,
-    set_partitions,
     format_composition,
     format_set_composition,
     format_set_partition,
@@ -513,14 +512,16 @@ def _basis_elements(space, n, r, kind) -> list:
             maker = {"M": qsym.basis_M, "F": qsym.basis_F, "Fbar": qsym.basis_Fbar}[kind]
             return [(alpha, maker(alpha)) for alpha in compositions(n)]
         return list(qsym.sym_basis(kind, n).items())
+    # the enumerators yield canonical, valid keys, so each element is
+    # built by its trusted core
     if space == "ncqsym":
         if kind in ("M", "F", "Fbar"):
-            return [(phi, ncqsym.basis_nc(kind, phi)) for phi in set_compositions(n)]
-        return [(pi, ncqsym.basis_ncsym(kind, pi)) for pi in set_partitions(n)]
+            return [(phi, ncqsym._basis_nc(kind, phi)) for phi in set_compositions(n)]
+        return list(ncqsym.ncsym_basis(kind, n).items())
     if space == "qsym-r":
-        return [(combinat.r_composition_to_json(rc), qsym.basis_r(kind, rc.beta, rc.mu, r))
+        return [(combinat.r_composition_to_json(rc), qsym._basis_r(kind, rc.beta, rc.mu))
                 for rc in r_compositions(n, r)]
-    return [(combinat.r_set_composition_to_json(rsc), ncqsym.basis_ncr(kind, rsc.phi, rsc.pi, r))
+    return [(combinat.r_set_composition_to_json(rsc), ncqsym._basis_ncr(kind, rsc.phi, rsc.pi))
             for rsc in r_set_compositions(n, r)]
 
 

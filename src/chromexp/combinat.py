@@ -329,56 +329,49 @@ def corruptions(phi) -> set[tuple[tuple[int, ...], ...]]:
 
 
 def _corruptions(phi) -> list:
-    """corruptions of a canonical phi, unchecked and without repeats.
-
-    Each run of adjacent blocks is merged and sorted once, however many
-    results share it. Distinct cut sequences give distinct results.
-    """
+    """corruptions of a canonical phi, unchecked and without repeats:
+    each run of adjacent blocks is merged and sorted once, however many
+    results share it."""
     k = len(phi)
     runs = {}
     for i in range(k):
         run = ()
         for j in range(i, k):
             run = runs[i, j + 1] = tuple(sorted(run + phi[j]))
-    out = []
-    for cuts in _cut_choices(k):
-        merged = []
-        start = 0
-        for end in cuts:
-            merged.append(runs[start, end])
-            start = end
-        out.append(tuple(merged))
-    return out
+    return _segmentations([k] * k, lambda i, j: runs[i, j])
 
 
 def reformations(psi) -> set[tuple[tuple[int, ...], ...]]:
-    """All set compositions obtained from psi by adding bars."""
-    psi = set_composition(psi)
-    per_block = []
+    """All set compositions obtained from psi by adding bars: psi is
+    validated and canonicalized, then handed to _reformations."""
+    return set(_reformations(set_composition(psi)))
+
+
+def _reformations(psi) -> list:
+    """reformations of a canonical psi, unchecked and without repeats:
+    psi's elements in block order, cut into pieces that each lie in one
+    block, and so stay sorted."""
+    word = tuple(itertools.chain.from_iterable(psi))
+    limits = []
     for block in psi:
-        pieces = []
-        for cuts in _cut_choices(len(block)):
-            start = 0
-            split = []
-            for end in cuts:
-                split.append(block[start:end])
-                start = end
-            pieces.append(tuple(split))
-        per_block.append(pieces)
-    out = set()
-    for choice in itertools.product(*per_block):
-        out.add(tuple(piece for split in choice for piece in split))
-    return out
+        limits += [len(limits) + len(block)] * len(block)
+    return _segmentations(limits, lambda i, j: word[i:j])
 
 
-def _cut_choices(k: int):
-    """All increasing cut sequences of 1..k ending at k (k = 0 gives one empty way)."""
-    if k == 0:
-        yield ()
-        return
-    for inner in itertools.chain.from_iterable(
-            itertools.combinations(range(1, k), size) for size in range(k)):
-        yield inner + (k,)
+def _segmentations(limits, piece) -> list:
+    """Every (piece(0, j1), piece(j1, j2), ..., piece(jm, k)) for k =
+    len(limits), its segments (i, j) with i < j <= limits[i]; distinct
+    cuts give distinct tuples. Built from the end: the tuples of each
+    suffix are made once and shared by every segment that ends where the
+    suffix starts, and piece is called once per segment."""
+    k = len(limits)
+    tails = [None] * k + [[()]]
+    for i in range(k - 1, -1, -1):
+        out = tails[i] = []
+        for j in range(i + 1, limits[i] + 1):
+            head = (piece(i, j),)
+            out += [head + rest for rest in tails[j]]
+    return tails[0]
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +555,19 @@ class RSetComposition:
         return ground_set(self.phi) | ground_set(self.pi)
 
 
+def _built(cls, *values):
+    """An instance of the frozen pair class cls from field values that
+    an enumerator built canonical and valid: set as they are, without
+    __post_init__'s checks."""
+    out = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(out, name, value)
+    return out
+
+
 def r_compositions(n: int, r):
-    """All r-compositions of n."""
+    """All r-compositions of n. Only r is checked: each pair is built
+    valid, so it is not checked again."""
     _check_r(r)
     for mu_size in range(n + 1):
         beta_size = n - mu_size
@@ -571,11 +575,12 @@ def r_compositions(n: int, r):
         mus = [m for m in partitions(mu_size) if all(p < r for p in m)]
         for beta in betas:
             for mu in mus:
-                yield RComposition(r, beta, mu)
+                yield _built(RComposition, r, beta, mu)
 
 
 def r_set_compositions(n: int, r):
-    """All r-set-compositions of [n]."""
+    """All r-set-compositions of [n]. Only r is checked: each pair is
+    built canonical and valid, so it is not checked again."""
     _check_r(r)
     elements = tuple(range(1, n + 1))
     for a_size in range(n + 1):
@@ -587,7 +592,7 @@ def r_set_compositions(n: int, r):
                    if all(len(b) < r for b in pi)]
             for phi in phis:
                 for pi in pis:
-                    yield RSetComposition(r, phi, pi)
+                    yield _built(RSetComposition, r, phi, pi)
 
 
 # ---------------------------------------------------------------------------

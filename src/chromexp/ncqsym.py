@@ -14,11 +14,9 @@ from .chromatic import LevelDP, closed_subset_sum
 from .combinat import (
     RSetComposition,
     bar_shuffle,
-    corruptions,
     partition_meet,
     permutation,
     r_split,
-    reformations,
     runs_set_composition,
     set_composition,
     set_composition_sort_key,
@@ -28,6 +26,8 @@ from .combinat import (
     lambda_factorial,
     _corruptions,
     _initial_segment_size,
+    _interleavings,
+    _reformations,
     _shifted_quasi_shuffle,
     _standardized_splits,
 )
@@ -202,7 +202,7 @@ def _basis_nc(kind: str, phi) -> NCQSymExpr:
     if kind == "M":
         members = (phi,)
     elif kind == "F":
-        members = reformations(phi)
+        members = _reformations(phi)
     elif kind == "Fbar":
         members = _corruptions(phi)
     else:
@@ -219,7 +219,13 @@ def _ncsym_m_sum(weighted) -> NCQSymExpr:
 
 
 def basis_ncsym(kind: str, pi) -> NCQSymExpr:
-    """NCSym bases at a set partition, its ground standardized onto [n].
+    """NCSym bases at a set partition, its ground standardized onto [n]:
+    pi is validated and canonicalized, then handed to _basis_ncsym."""
+    return _basis_ncsym(kind, combinat.standardize_set_partition(set_partition(pi)))
+
+
+def _basis_ncsym(kind: str, pi) -> NCQSymExpr:
+    """basis_ncsym at a canonical set partition pi of [n] (not validated).
 
     m, p, e and h are closed forms (Rosas-Sagan 2006), which the table
     suite checks against their digraphs: p_pi sums m_sigma over the
@@ -227,7 +233,6 @@ def basis_ncsym(kind: str, pi) -> NCQSymExpr:
     sigma ^ pi, with 1 if it is discrete and with the product of its
     block-size factorials. S symmetrizes the labelled partition grid.
     """
-    pi = combinat.standardize_set_partition(set_partition(pi))
     if kind == "m":
         return _ncsym_m_sum(((pi, 1),))
     if kind == "p":
@@ -245,6 +250,24 @@ def basis_ncsym(kind: str, pi) -> NCQSymExpr:
     if kind == "S":
         return symmetrize(gr.labelled(gr.grid(shape_partition(pi)))).at_t(1)
     raise ValueError(f"unknown NCSym basis kind {kind!r}")
+
+
+def ncsym_basis(kind: str, n: int) -> dict:
+    """Every degree-n element of an NCSym basis, by set partition in the
+    order of set_partitions(n). S depends on the shape alone, so it is
+    symmetrized once per shape and shared by the set partitions of the
+    shape."""
+    if kind != "S":
+        return {pi: _basis_ncsym(kind, pi) for pi in combinat.set_partitions(n)}
+    by_shape: dict = {}
+    out = {}
+    for pi in combinat.set_partitions(n):
+        lam = shape_partition(pi)
+        s = by_shape.get(lam)
+        if s is None:
+            s = by_shape[lam] = _basis_ncsym("S", pi)
+        out[pi] = s
+    return out
 
 
 def basis_ncsym_e_paths(pi) -> NCQSymExpr:
@@ -327,16 +350,28 @@ class RegroupError(ValueError):
 
 
 def basis_ncr(kind: str, phi, pi, r) -> NCQSymExpr:
-    """r-level bases: the dominant monomial (M) via the bar-shuffle sum,
-    and the upper fundamental (Fbar) summing M over bar removals on the
-    composition side."""
+    """r-level bases at an r-set-composition (phi, pi) of [n]: the pair
+    and its ground are validated and canonicalized, then handed to
+    _basis_ncr."""
     rsc = RSetComposition(r, phi, pi)
     _initial_segment_size(rsc.phi + rsc.pi)
+    return _basis_ncr(kind, rsc.phi, rsc.pi)
+
+
+def _basis_ncr(kind: str, phi, pi) -> NCQSymExpr:
+    """basis_ncr at a canonical r-set-composition (phi, pi) of [n] (not
+    validated): the dominant monomial (M) sums M over the bar shuffles
+    of phi and pi, and the upper fundamental (Fbar) sums the M of every
+    bar removal of phi with pi. The interleavings of distinct removals
+    keep distinct phi blocks, so every coefficient is 1."""
     if kind == "M":
-        return NCQSymExpr({psi: 1 for psi in bar_shuffle(rsc.phi, rsc.pi)})
-    if kind == "Fbar":
-        return NCQSymExpr.sum_of(basis_ncr("M", psi, rsc.pi, r) for psi in corruptions(rsc.phi))
-    raise ValueError(f"unknown r-basis kind {kind!r}")
+        phis = (phi,)
+    elif kind == "Fbar":
+        phis = _corruptions(phi)
+    else:
+        raise ValueError(f"unknown r-basis kind {kind!r}")
+    orders = list(itertools.permutations(pi))
+    return NCQSymExpr._of({psi: 1 for fixed in phis for psi in _interleavings(fixed, orders)})
 
 
 def r_regroup(f: NCQSymExpr, r) -> dict:

@@ -153,11 +153,17 @@ class TermMap:
 
         Expansions share one coefficient object across many terms (one
         TPoly per ascent count), so each distinct object is evaluated
-        once and its value looked up by id for the rest.
+        once and its value looked up by id for the rest. When every
+        value is one scalar (as every t^k is at t = 1), the terms keep
+        their order and take it with no lookup per term.
         """
         terms = self.terms
         distinct = {id(c): c for c in terms.values()}
         values = {i: tpoly.evaluate(c, t) for i, c in distinct.items()}
+        if values:
+            first, *rest = values.values()
+            if all(type(v) is type(first) and v == first for v in rest):
+                return self._of(dict.fromkeys(terms, first) if first else {})
         return self._of({k: v for k, c in terms.items() if (v := values[id(c)])})
 
     def t_degree(self) -> int:
@@ -517,11 +523,17 @@ def _prefix_table(n: int, moves) -> dict[tuple[int, ...], dict[tuple[int, ...], 
 
 
 def basis_r(kind: str, beta, mu, r) -> QSymExpr:
-    """r-level basis elements (kind M, S, Fbar, Sbar), expanded through
-    their defining digraphs."""
+    """r-level basis elements (kind M, S, Fbar, Sbar): (beta, mu) is
+    checked to be an r-composition, then handed to _basis_r."""
+    RComposition(r, beta, mu)
+    return _basis_r(kind, beta, mu)
+
+
+def _basis_r(kind: str, beta, mu) -> QSymExpr:
+    """basis_r at an r-composition (beta, mu), expanded through its
+    defining digraph."""
     from .chromatic import expand
 
-    RComposition(r, beta, mu)
     return expand(graph.r_basis_digraph(kind, beta, mu)).at_t(1)
 
 

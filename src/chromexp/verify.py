@@ -269,16 +269,17 @@ def verify_tables(n: int = 5):
     augmented-scaling identities."""
     sym_n = min(n, 4)
     for m in range(n + 1):
+        tables = {kind: qsym.sym_basis(kind, m) for kind in qsym.SYM_KINDS}
         for lam in partitions(m):
-            for kind in ("m", "maug", "e", "eaug", "h", "p", "s"):
-                yield _check(qsym.basis_sym(kind, lam)
+            for kind in qsym.SYM_KINDS:
+                yield _check(tables[kind][lam]
                              == chromatic.expand(gr.sym_basis_digraph(kind, lam)).at_t(1),
                              table="sym", kind=kind, index=list(lam))
             # rho(m_pi) = maug_lam and rho(e_pi) = lam! e_lam (Rosas-Sagan 2006)
             pi = _consecutive_blocks(lam)
-            yield _check(qsym.basis_sym("maug", lam) == rho(basis_ncsym("m", pi)),
+            yield _check(tables["maug"][lam] == rho(basis_ncsym("m", pi)),
                          table="sym", kind="maug-scaling", index=list(lam))
-            yield _check(qsym.basis_sym("eaug", lam) == rho(basis_ncsym("e", pi)),
+            yield _check(tables["eaug"][lam] == rho(basis_ncsym("e", pi)),
                          table="sym", kind="eaug-scaling", index=list(lam))
 
         for alpha in compositions(m):
@@ -325,7 +326,7 @@ def verify_tables(n: int = 5):
                 s_pi = shapes.get(lam)
                 if s_pi is None:
                     s_pi = shapes[lam] = basis_ncsym("S", pi)
-                yield _check(rho(s_pi) == qsym.basis_sym("s", lam).scale(math.factorial(m)),
+                yield _check(rho(s_pi) == tables["s"][lam].scale(math.factorial(m)),
                              table="ncsym", kind="S-rho", index=[list(b) for b in pi])
             values = list(shapes.values())
             for a, b in itertools.combinations(values, 2):

@@ -8,11 +8,12 @@ that some test checks live code against: `corrupts` checks
 `fold_rho` checks `rho`'s grouped sums, `definition_basis_sym` checks
 `basis_sym`'s prefix tables, `partition_row_to_sym_basis` checks
 `to_sym_basis`, `mutual_reachability_contract` checks
-`contract`, `subset_expand` checks `expand`'s twin groups, and
-`dfs_expand_nc` checks `expand_nc`'s batched level walk.
-No program path reads them, so
-they live here rather than in `chromexp`. pytest does not collect this
-module: its name does not match test_*.py.
+`contract`, `subset_expand` checks `expand`'s twin groups,
+`dfs_expand_nc` checks `expand_nc`'s batched level walk, and the
+`definition_*` builders of noncommutative basis elements check the
+basis listings. No program path reads them, so they live here rather
+than in `chromexp`. pytest does not collect this module: its name does
+not match test_*.py.
 """
 
 import itertools
@@ -22,6 +23,7 @@ from fractions import Fraction
 from chromexp.chromatic import LevelDP
 from chromexp.combinat import (
     RSetComposition,
+    bar_shuffle,
     compositions,
     corruptions,
     descent_set,
@@ -35,10 +37,21 @@ from chromexp.combinat import (
     set_composition,
     set_composition_sort_key,
     shape,
+    shape_partition,
 )
-from chromexp.graph import LEQ, LT, Contraction, LabelledDigraph, contract, standardize_labels
+from chromexp.graph import (
+    LEQ,
+    LT,
+    Contraction,
+    LabelledDigraph,
+    contract,
+    grid,
+    labelled,
+    ncsym_basis_digraph,
+    standardize_labels,
+)
 from chromexp.linalg import solve_combination
-from chromexp.ncqsym import NCQSymExpr
+from chromexp.ncqsym import NCQSymExpr, _blockwise_symmetrized, expand_nc, symmetrize
 from chromexp.qsym import SYM_KINDS, QSymExpr, _merge, is_symmetric
 from chromexp.tpoly import TPoly, coefficients, tpoly_to_json
 
@@ -430,3 +443,63 @@ def dfs_expand_nc(lg: LabelledDigraph, stats: dict | None = None) -> NCQSymExpr:
     if stats is not None:
         dp.record(stats, len(out.terms), start)
     return out
+
+
+# ---------------------------------------------------------------------------
+# noncommutative basis elements, one at a time
+
+
+def definition_reformations(psi) -> set:
+    """The set compositions that add bars to psi: its elements written in
+    block order, cut at psi's own bars and at any subset of the other
+    gaps."""
+    word = [x for block in psi for x in block]
+    bars = set(itertools.accumulate(map(len, psi)))
+    gaps = [g for g in range(1, len(word)) if g not in bars]
+    out = set()
+    for size in range(len(gaps) + 1):
+        for chosen in itertools.combinations(gaps, size):
+            cuts = [0, *sorted(bars | set(chosen))]
+            out.add(tuple(tuple(word[a:b]) for a, b in itertools.pairwise(cuts)))
+    return out
+
+
+def definition_corruptions(phi) -> set:
+    """The set compositions that remove bars from phi: for each subset
+    of its bars, the blocks between the bars kept, merged and sorted."""
+    if not phi:
+        return {()}
+    bars = range(1, len(phi))
+    out = set()
+    for size in range(len(phi)):
+        for kept in itertools.combinations(bars, size):
+            cuts = [0, *kept, len(phi)]
+            out.add(tuple(tuple(sorted(x for block in phi[a:b] for x in block))
+                          for a, b in itertools.pairwise(cuts)))
+    return out
+
+
+def definition_basis_nc(kind: str, phi) -> NCQSymExpr:
+    """M, F or Fbar at phi from the definitions of adding and removing bars."""
+    members = {"M": lambda: {phi}, "F": lambda: definition_reformations(phi),
+               "Fbar": lambda: definition_corruptions(phi)}[kind]()
+    return NCQSymExpr({psi: 1 for psi in members})
+
+
+def definition_basis_ncr(kind: str, phi, pi) -> NCQSymExpr:
+    """The r-level M at (phi, pi) as the sum of M over bar_shuffle(phi,
+    pi), and Fbar as that sum over the bar removals of phi."""
+    fixed = [phi] if kind == "M" else definition_corruptions(phi)
+    return NCQSymExpr.sum_of(NCQSymExpr({psi: 1 for psi in bar_shuffle(f, pi)})
+                             for f in fixed)
+
+
+def definition_basis_ncsym(kind: str, pi) -> NCQSymExpr:
+    """An NCSym element at pi from its digraph: m, p and e expand one
+    labelled digraph, h symmetrizes solid paths within each block, and S
+    symmetrizes the labelled grid of pi's shape."""
+    if kind == "S":
+        return symmetrize(labelled(grid(shape_partition(pi)))).at_t(1)
+    if kind == "h":
+        return _blockwise_symmetrized(pi, "Q").at_t(1)
+    return expand_nc(ncsym_basis_digraph(kind, pi)).at_t(1)

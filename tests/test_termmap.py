@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from chromexp import combinat
 from chromexp.chromatic import expand
-from chromexp.graph import labelled
+from chromexp.graph import labelled, parse_dsl
 from chromexp.ncqsym import (
     NCQSymExpr, NCQSymTensor, _basis_nc, basis_nc, coproduct_nc, expand_nc, rho)
 from chromexp.qsym import QSymExpr, QSymTensor, coproduct
@@ -188,3 +188,24 @@ def test_at_t_evaluates_each_shared_coefficient_as_term_by_term(t):
         assert type(got) is type(x)
         assert list(got.terms.items()) == at_t_term_by_term(x, t)
         assert_canonical(got)
+
+
+@pytest.mark.parametrize("t", [1, 0, -1, Fraction(1, 2)])
+def test_at_t_with_one_value_keeps_every_term_in_order(t):
+    """Every t^k of an nc expansion is 1 at t = 1, and every t^(k+1) is
+    0 at t = 0: all the terms take that one value, in their order, or
+    none is left. Values that are equal but of different types, and
+    values that differ, are kept term by term."""
+    y = expand_nc(labelled(parse_dsl("K(4)")))
+    assert len(set(y.terms.values())) == 7  # t^0 .. t^6
+    for x in (y, y.scale(T), NCQSymExpr._of(dict.fromkeys(y.terms, TPoly((0, 0, 2))))):
+        got = x.at_t(t)
+        want = at_t_term_by_term(x, t)
+        assert list(got.terms.items()) == want
+        assert [type(v) for v in got.terms.values()] == [type(v) for _, v in want]
+    assert y.at_t(1).terms == dict.fromkeys(y.terms, 1)
+    assert y.scale(T).at_t(0).terms == {}
+    keys = list(y.terms)
+    mixed = NCQSymExpr._of({k: Fraction(2) if i % 2 else 2 for i, k in enumerate(keys)})
+    got = mixed.at_t(t)
+    assert [type(v) for v in got.terms.values()] == [type(v) for v in mixed.terms.values()]
